@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import special
@@ -680,12 +680,37 @@ def group_assignment_map(
     max_expected_attempts: Optional[float] = None,
 ) -> dict[float, Optional[int]]:
     """Serving SF per distinct distance; ``None`` marks unreachable distances."""
+    tables = {
+        d: success_tables(d, payload_bytes, phy, link, field, options=options)
+        for d in sorted({float(d) for d in distances})
+    }
+    return assign_groups(
+        tables,
+        needed,
+        phy,
+        criterion,
+        duty_cycle_max_percent=duty_cycle_max_percent,
+        options=options,
+        max_expected_attempts=max_expected_attempts,
+    )
+
+
+def assign_groups(
+    tables: Mapping[float, SuccessTables],
+    needed: float,
+    phy: PhyProfile,
+    criterion: str,
+    *,
+    duty_cycle_max_percent: float = 1.0,
+    options: Optional[AnalysisOptions] = None,
+    max_expected_attempts: Optional[float] = None,
+) -> dict[float, Optional[int]]:
+    """Serving SF per tabulated distance; ``None`` marks unreachable distances."""
     assignment: dict[float, Optional[int]] = {}
-    for d in sorted({float(d) for d in distances}):
-        tables = success_tables(d, payload_bytes, phy, link, field, options=options)
+    for d, tab in tables.items():
         try:
             assignment[d] = assign_group_sf(
-                tables,
+                tab,
                 needed,
                 phy,
                 criterion,

@@ -109,12 +109,30 @@ def build_tables(
     }
 
 
+def _group_assignment(
+    tables: dict[float, analysis.SuccessTables],
+    spec: ExperimentSpec,
+    scheme: GroupBasedScheme,
+) -> dict[float, Optional[int]]:
+    """Serving SF of a group-based scheme per tabulated distance, ``None``
+    where no SF reaches it within the stream's frame budget."""
+    code = scheme_code(spec, scheme)
+    return analysis.assign_groups(
+        tables,
+        code.expected_fragments(),
+        spec.phy,
+        scheme.criterion,
+        duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
+        options=spec.analysis,
+        max_expected_attempts=sim.attempts_cap(spec, code),
+    )
+
+
 def _gb_metrics(
     tables: dict[float, analysis.SuccessTables],
     spec: ExperimentSpec,
     scheme: GroupBasedScheme,
     needed: float,
-    cap: float,
 ) -> dict[float, tuple[float, float]]:
     """Per-distance (energy J, delivery time s) under sequential groups.
 
@@ -125,15 +143,7 @@ def _gb_metrics(
     """
     phy, net = spec.phy, spec.network
     opts, dc = spec.analysis, net.duty_cycle_max_percent
-    assignment: dict[float, Optional[int]] = {}
-    for d, tab in tables.items():
-        try:
-            assignment[d] = analysis.assign_group_sf(
-                tab, needed, phy, scheme.criterion,
-                duty_cycle_max_percent=dc, options=opts, max_expected_attempts=cap,
-            )
-        except analysis.UnreachableRecipientError:
-            assignment[d] = None
+    assignment = _group_assignment(tables, spec, scheme)
     groups: dict[int, list[float]] = {}
     for d, sf in assignment.items():
         if sf is not None:
@@ -170,7 +180,7 @@ def _analysis_metrics(
     needed = code.expected_fragments()
     cap = float(sim.attempts_cap(spec, code))
     if isinstance(scheme, GroupBasedScheme):
-        return _gb_metrics(tables, spec, scheme, needed, cap)
+        return _gb_metrics(tables, spec, scheme, needed)
     out = {}
     for d, tab in tables.items():
         try:
@@ -215,16 +225,25 @@ def run_suite(
     e_norm = analysis.normalization_energy_j(
         spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
     )
-    tables = build_tables(spec, grid) if mode != "simulate" else None
+    # grid-layout group-based sessions take their assignment from the same
+    # tables as the closed forms
+    grid_groups = spec.layout.kind == "grid" and any(
+        isinstance(s, GroupBasedScheme) for s in spec.schemes
+    )
+    tables = build_tables(spec, grid) if mode != "simulate" or grid_groups else None
 
     rows: list[DistanceRow] = []
     summaries: list[SchemeSummary] = []
     for scheme in spec.schemes:
-        ana = _analysis_metrics(tables, spec, scheme) if tables is not None else None
+        ana = _analysis_metrics(tables, spec, scheme) if mode != "simulate" else None
         res = None
         if mode != "analysis":
+            assignment = None
+            if grid_groups and isinstance(scheme, GroupBasedScheme):
+                assignment = _group_assignment(tables, spec, scheme)
             res = sim.run_experiment(
-                spec, scheme, runs=runs, seed=seed, code=scheme_code(spec, scheme)
+                spec, scheme, runs=runs, seed=seed, code=scheme_code(spec, scheme),
+                group_assignment=assignment,
             )
         mine: list[DistanceRow] = []
         for i, d in enumerate(grid):
@@ -393,9 +412,7 @@ def _location_energy_sim(
         session = sim.run_session(
             spec, scheme, rng, group_assignment=assignment, distances=distances, code=code
         )
-        energies.extend(
-            o.energy_fragments_j for o in session.outcomes if o.completed
-        )
+        energies.extend(session.energy_fragments_j[session.completed])
     if not energies:
         return float("nan")
     return float(np.mean(energies))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .phy import ALL_SFS, PhyProfile, check_sf
 
@@ -178,8 +178,21 @@ def poisson_interferer_pmf(n: int, radius_m: float, field: InterfererField) -> f
     mean = mean_interferer_count(field, radius_m)
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
+    return float(math.exp(_poisson_log_pmf(n, mean)))
+
+
+def _poisson_log_pmf(n, mean: float):
     # log-space keeps large means finite
-    return float(math.exp(special.xlogy(n, mean) - special.gammaln(n + 1) - mean))
+    return special.xlogy(n, mean) - special.gammaln(n + 1) - mean
+
+
+def _poisson_quantile(q: float, mean: float) -> int:
+    """Smallest count whose Poisson CDF reaches ``q``: the inverse of the
+    continuous incomplete-gamma CDF, rounded up, then stepped down once when
+    the count below already reaches ``q``."""
+    count = math.ceil(special.pdtrik(q, mean))
+    below = max(count - 1, 0)
+    return below if special.pdtr(below, mean) >= q else count
 
 
 def interferer_count_weights(
@@ -193,8 +206,9 @@ def interferer_count_weights(
         raise ValueError("tail_mass must be in (0, 0.5)")
     if mean_count == 0.0:
         return np.array([0], dtype=np.int64), np.array([1.0])
-    lo = int(stats.poisson.ppf(tail_mass / 2.0, mean_count))
-    hi = int(stats.poisson.isf(tail_mass / 2.0, mean_count))
+    lo = _poisson_quantile(tail_mass / 2.0, mean_count)
+    # the upper cut is the quantile of the complement, as scipy's discrete isf
+    hi = _poisson_quantile(1.0 - tail_mass / 2.0, mean_count)
     counts = np.arange(lo, hi + 1, dtype=np.int64)
-    weights = stats.poisson.pmf(counts, mean_count)
+    weights = np.exp(_poisson_log_pmf(counts, mean_count))
     return counts, weights / weights.sum()

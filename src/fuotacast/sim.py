@@ -1,7 +1,7 @@
 """Monte Carlo session simulator.
 
 One session multicasts a firmware image to a cohort of recipients under a
-chosen transmission policy. Per frame and recipient the simulator draws
+chosen transmission policy. Per frame and recipient the model draws
 Rayleigh fading against the detection threshold and a Poisson number of
 interferer-frame overlaps judged by the capture matrix; recipients stop
 listening the moment their rateless decoder is satisfied, and each stream
@@ -12,6 +12,27 @@ stream whose rate matches the per-interferer collision windows, which
 linearizes each interferer's Bernoulli overlap. The quadratic correction
 is of order the collision probability itself (~1e-4 at the default load),
 far below the simulation's statistical resolution.
+
+The sampler simulates only the frames whose outcome is not already known.
+A recipient's interferers are fixed for the session, so at one SF its
+frames are i.i.d.: a frame clears the detection threshold ``c`` with
+probability ``exp(-c)`` and, independently, overlaps at least one
+interferer frame ("dirty") with probability ``1 - exp(-lambda)``, where
+``lambda`` is the recipient's mean overlap count per frame. An undetected
+frame is a preamble-only listen and a detected clean frame is a reception,
+so each pass of at most ``sim.chunk_frames`` frames draws the detected
+count and the dirty count within it binomially, and simulates only the
+detected dirty frames: fading conditioned above the threshold, a first
+overlap at a time conditioned into the frame plus a Poisson remainder, and
+each overlap's SF, source interferer, capture verdict and preamble share.
+An interferer's distance is drawn the first time an overlap names it.
+The frames of a pass are exchangeable, so a recipient still ``r``
+receptions short completes at the ``r``-th of its receptions placed
+uniformly over the pass (a negative-hypergeometric draw), and its full
+listens before that point are a draw without replacement. The cost grows
+with detected dirty frames plus recipients times passes; in a dense field
+nearly every frame is dirty and it approaches one simulated frame per
+detected recipient-frame.
 """
 
 from __future__ import annotations
@@ -46,12 +67,46 @@ class RecipientOutcome:
     assigned_sf: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionResult:
-    outcomes: tuple[RecipientOutcome, ...]
+    """One session: per-recipient arrays plus the stream totals.
+
+    ``assigned_sf`` is nan for recipients without a group SF (every
+    recipient of a non-group scheme). ``outcomes`` gives the same data as
+    one :class:`RecipientOutcome` per recipient.
+    """
+
+    distances: np.ndarray
+    fragments_needed: np.ndarray
+    fragments_received: np.ndarray
+    completed: np.ndarray
+    completion_time_s: np.ndarray
+    energy_fragments_j: np.ndarray
+    control_energy_j: float
+    attempts_full: np.ndarray
+    attempts_preamble_only: np.ndarray
+    assigned_sf: np.ndarray
     transmissions: int
     duration_s: float
     incomplete: bool
+
+    @property
+    def outcomes(self) -> tuple[RecipientOutcome, ...]:
+        return tuple(
+            RecipientOutcome(
+                distance_m=float(self.distances[g]),
+                fragments_needed=int(self.fragments_needed[g]),
+                fragments_received=int(self.fragments_received[g]),
+                completed=bool(self.completed[g]),
+                completion_time_s=float(self.completion_time_s[g]),
+                energy_fragments_j=float(self.energy_fragments_j[g]),
+                energy_control_j=self.control_energy_j if self.completed[g] else 0.0,
+                attempts_full=int(self.attempts_full[g]),
+                attempts_preamble_only=int(self.attempts_preamble_only[g]),
+                assigned_sf=None if math.isnan(self.assigned_sf[g]) else int(self.assigned_sf[g]),
+            )
+            for g in range(self.distances.size)
+        )
 
 
 @dataclass(frozen=True)
@@ -111,7 +166,7 @@ def stream_timeline(
 
 
 class _SfTables:
-    """Per-SF constants reused across every chunk of a session."""
+    """Per-SF constants shared by every session of an experiment."""
 
     def __init__(self, phy: PhyProfile, field: InterfererField, payload_bytes: int,
                  duty_cycle_max_percent: float):
@@ -144,28 +199,107 @@ class _SfTables:
 class _SessionState:
     """Mutable per-recipient bookkeeping for one session."""
 
-    def __init__(self, distances: np.ndarray, thresholds: np.ndarray,
-                 int_offsets: np.ndarray, int_u_alpha: np.ndarray,
+    def __init__(self, d_alpha: np.ndarray, thresholds: np.ndarray,
+                 int_counts: np.ndarray, radius_m: float, path_loss_exponent: float,
                  detect_c: np.ndarray):
-        n = distances.size
-        self.distances = distances
+        n = d_alpha.size
+        self.d_alpha = d_alpha
         self.thresholds = thresholds
-        self.int_offsets = int_offsets
-        self.int_counts = np.diff(int_offsets)
-        self.int_u_alpha = int_u_alpha
+        self.int_counts = int_counts
+        self.int_offsets = np.cumsum(int_counts) - int_counts
+        # interferer distances**alpha, drawn when an overlap first names one
+        self.int_u_alpha = np.full(int(int_counts.sum()), np.nan)
+        self.radius_alpha = radius_m**path_loss_exponent
+        self.half_alpha = path_loss_exponent / 2.0
         self.detect_c = detect_c
+        self.detect_p = np.exp(-detect_c)
         self.received = np.zeros(n, dtype=np.int64)
         self.completed = np.zeros(n, dtype=bool)
         self.completion_time = np.full(n, np.nan)
         self.full_listens = np.zeros((n, len(ALL_SFS)), dtype=np.int64)
         self.preamble_listens = np.zeros((n, len(ALL_SFS)), dtype=np.int64)
 
+    def interferer_u_alpha(self, rng: np.random.Generator, slots: np.ndarray) -> np.ndarray:
+        """distance**alpha of the interferers at ``slots``, drawing from the
+        in-disc radial law those not named before."""
+        u_alpha = self.int_u_alpha[slots]
+        fresh = np.isnan(u_alpha)
+        if fresh.any():
+            draws = rng.random(int(fresh.sum()))
+            self.int_u_alpha[slots[fresh]] = self.radius_alpha * draws**self.half_alpha
+            # an interferer named twice keeps one of its draws
+            u_alpha = self.int_u_alpha[slots]
+        return u_alpha
+
+
+def _dirty_frame_verdicts(
+    rng: np.random.Generator,
+    state: _SessionState,
+    tables: _SfTables,
+    row: int,
+    g: np.ndarray,
+    rate: np.ndarray,
+    p_dirty: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(received, preamble heard) for detected frames of recipients ``g``
+    that overlap at least one interferer frame; ``rate`` is each frame's
+    mean overlap count and ``p_dirty`` its chance of at least one."""
+    n = g.size
+    if n == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    # exponential fading conditioned on clearing the detection threshold
+    fading = state.detect_c[g, row] + rng.exponential(1.0, size=n)
+    # the first overlap falls at T, conditioned into [0, 1); the rest of
+    # the frame holds a Poisson(rate * (1 - T)) number of further overlaps
+    rest = np.maximum(rate + np.log1p(-rng.random(n) * p_dirty), 0.0)
+    k = 1 + rng.poisson(rest)
+    total = int(k.sum())
+    cell = np.repeat(np.arange(n), k)
+    src = g[cell]
+    j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
+    j = np.minimum(j, len(ALL_SFS) - 1)
+    src_local = (rng.random(total) * state.int_counts[src]).astype(np.int64)
+    u_alpha = state.interferer_u_alpha(rng, state.int_offsets[src] + src_local)
+    # the overlap kills when the interferer's fading pushes its power past
+    # the desired power over the capture threshold
+    limit = fading[cell] * u_alpha / (state.d_alpha[src] * tables.capture[row, j])
+    kill = rng.exponential(1.0, size=total) > limit
+    in_pre = rng.random(total) < tables.preamble_share[row, j]
+    frame_kill = np.bincount(cell[kill], minlength=n) > 0
+    pre_kill = np.bincount(cell[kill & in_pre], minlength=n) > 0
+    return ~frame_kill, ~pre_kill
+
+
+def _place_completion(
+    rng: np.random.Generator,
+    r: np.ndarray,
+    got: np.ndarray,
+    heard_lost: np.ndarray,
+    frames: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame of the ``r``-th reception and the full listens up to it, in a
+    uniformly shuffled pass of ``frames`` frames holding ``got >= r``
+    receptions and ``heard_lost`` full listens without a reception.
+
+    The frames before the ``r``-th reception hold ``r - 1`` receptions and
+    a negative-hypergeometric number of others, which is
+    BetaBinomial(frames - got, r, got + 1 - r); those others are drawn
+    without replacement from the pass's non-received frames.
+    """
+    at = r + rng.binomial(frames - got, rng.beta(r, got + 1 - r))
+    full = r.copy()
+    lost = np.flatnonzero(heard_lost > 0)
+    if lost.size > 0:
+        full[lost] += rng.hypergeometric(
+            heard_lost[lost], frames - got[lost] - heard_lost[lost], at[lost] - r[lost]
+        )
+    return at, full
+
 
 def _serve_segment(
     rng: np.random.Generator,
     state: _SessionState,
     tables: _SfTables,
-    d_alpha: np.ndarray,
     sf: int,
     max_frames: int,
     active: np.ndarray,
@@ -182,61 +316,41 @@ def _serve_segment(
     while sent < max_frames and active.size > 0:
         f = min(chunk_frames, max_frames - sent)
         a = active.size
-        fading = rng.exponential(1.0, size=(a, f))
-        detected = fading > state.detect_c[active, row][:, None]
+        rate = tables.event_rate_per_interferer[row] * state.int_counts[active]
+        p_dirty = -np.expm1(-rate)
+        # an undetected frame is a preamble-only listen whatever overlaps
+        # it, and a detected one that overlaps no interferer frame is
+        # received; only detected overlapped frames need simulating
+        detected = rng.binomial(f, state.detect_p[active, row])
+        dirty = rng.binomial(detected, p_dirty)
+        owner = np.repeat(np.arange(a), dirty)
+        ok, heard = _dirty_frame_verdicts(
+            rng, state, tables, row, active[owner], rate[owner], p_dirty[owner]
+        )
+        got = detected - dirty + np.bincount(owner[ok], minlength=a)
+        heard_lost = np.bincount(owner[heard & ~ok], minlength=a)
 
-        frame_kill = np.zeros((a, f), dtype=bool)
-        pre_kill = np.zeros((a, f), dtype=bool)
-        rates = tables.event_rate_per_interferer[row] * state.int_counts[active]
-        if rates.max(initial=0.0) > 0.0:
-            k = rng.poisson(lam=rates[:, None], size=(a, f))
-            total = int(k.sum())
-            if total > 0:
-                cell = np.repeat(np.arange(a * f), k.ravel())
-                r_loc = cell // f
-                g = active[r_loc]
-                j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
-                j = np.minimum(j, len(ALL_SFS) - 1)
-                src_local = (rng.random(total) * state.int_counts[g]).astype(np.int64)
-                u_alpha = state.int_u_alpha[state.int_offsets[g] + src_local]
-                a_event = fading.ravel()[cell]
-                # the overlap kills when the interferer's fading pushes its
-                # power past the desired power over the capture threshold
-                limit = a_event * u_alpha / (d_alpha[g] * tables.capture[row, j])
-                kill = rng.exponential(1.0, size=total) > limit
-                in_pre = rng.random(total) < tables.preamble_share[row, j]
-                fk = np.bincount(cell[kill], minlength=a * f) > 0
-                pk = np.bincount(cell[kill & in_pre], minlength=a * f) > 0
-                frame_kill = fk.reshape(a, f)
-                pre_kill = pk.reshape(a, f)
+        need = state.thresholds[active] - state.received[active]
+        done = got >= need
+        fin = np.flatnonzero(done)
+        listened = np.full(a, f, dtype=np.int64)
+        full = got + heard_lost
+        if fin.size > 0:
+            listened[fin], full[fin] = _place_completion(
+                rng, need[fin], got[fin], heard_lost[fin], f
+            )
 
-        success = detected & ~frame_kill
-        preamble_ok = detected & ~pre_kill
-
-        need = (state.thresholds[active] - state.received[active])[:, None]
-        cum = np.cumsum(success, axis=1)
-        hit = cum >= need
-        done = hit.any(axis=1)
-        first = np.where(done, hit.argmax(axis=1), f)
-
-        listen_mask = np.arange(f)[None, :] <= np.minimum(first, f - 1)[:, None]
-        full = (preamble_ok & listen_mask).sum(axis=1)
         state.full_listens[active, row] += full
-        state.preamble_listens[active, row] += listen_mask.sum(axis=1) - full
-        state.received[active] += np.where(
-            done, need[:, 0], (success & listen_mask).sum(axis=1)
-        )
-
-        frames_now = int(first.max()) + 1 if bool(done.all()) else f
-        finishers = active[done]
+        state.preamble_listens[active, row] += listened - full
+        state.received[active] += np.minimum(got, need)
+        finishers = active[fin]
         state.completed[finishers] = True
-        state.completion_time[finishers] = (
-            t_start + (sent + first[done] + 1) * tables.slot_s[row]
-        )
+        state.completion_time[finishers] = t_start + (sent + listened[fin]) * tables.slot_s[row]
         active = active[~done]
-        sent += frames_now
-        if bool(done.all()):
+        if active.size == 0:
+            sent += int(listened.max())
             break
+        sent += f
     return sent, active
 
 
@@ -265,12 +379,20 @@ def run_session(
     group_assignment: Optional[dict[float, Optional[int]]] = None,
     distances: Optional[np.ndarray] = None,
     code: Optional[RatelessModel] = None,
+    tables: Optional[_SfTables] = None,
 ) -> SessionResult:
-    """Simulate one complete firmware session."""
+    """Simulate one complete firmware session.
+
+    ``tables`` may carry the per-SF constants of ``spec`` when many sessions
+    share them.
+    """
     phy, net = spec.phy, spec.network
     link, fld = net.link, net.interferers
-    payload = spec.firmware.fragment_payload_bytes
     code = code or spec.firmware.code
+    if tables is None:
+        tables = _SfTables(
+            phy, fld, spec.firmware.fragment_payload_bytes, net.duty_cycle_max_percent
+        )
 
     if distances is None:
         distances = _place_recipients(spec, rng)
@@ -280,21 +402,17 @@ def run_session(
 
     radius_i = interference_radius(link, fld, phy.sensitivity_w(max(ALL_SFS)))
     counts = rng.poisson(mean_interferer_count(fld, radius_i), size=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    positions = radius_i * np.sqrt(rng.random(int(counts.sum())))
     thresholds = code.sample_completion_threshold(rng, size=n)
 
     d_alpha = distances**link.path_loss_exponent
-    detect_c = np.empty((n, len(ALL_SFS)))
-    for row, s in enumerate(ALL_SFS):
-        detect_c[:, row] = phy.sensitivity_w(s) * d_alpha / (link.link_gain * link.tx_rf_power_w)
-
-    tables = _SfTables(phy, fld, payload, net.duty_cycle_max_percent)
+    sensitivity = np.array([phy.sensitivity_w(s) for s in ALL_SFS])
+    detect_c = np.outer(d_alpha, sensitivity / (link.link_gain * link.tx_rf_power_w))
     state = _SessionState(
-        distances=distances,
+        d_alpha=d_alpha,
         thresholds=np.asarray(thresholds, dtype=np.int64),
-        int_offsets=offsets,
-        int_u_alpha=positions**link.path_loss_exponent,
+        int_counts=counts,
+        radius_m=radius_i,
+        path_loss_exponent=link.path_loss_exponent,
         detect_c=detect_c,
     )
 
@@ -303,31 +421,24 @@ def run_session(
     transmissions = 0
     elapsed = 0.0
     incomplete = False
-    assigned: list[Optional[int]] = [None] * n
+    member_sf = np.full(n, np.nan)
 
     if isinstance(scheme, GroupBasedScheme):
         if group_assignment is None:
             raise ValueError("group-based simulation needs a precomputed SF assignment")
-        member_sf = np.array(
-            [_lookup_assignment(group_assignment, d) for d in distances], dtype=float
-        )
-        assigned = [None if math.isnan(s) else int(s) for s in member_sf]
-        for sf in sorted({int(s) for s in member_sf if not math.isnan(s)}):
+        member_sf = _lookup_assignment(group_assignment, distances)
+        for sf in np.unique(member_sf[~np.isnan(member_sf)]).astype(int):
             group = np.flatnonzero(member_sf == sf)
-            sent, left = _serve_segment(
-                rng, state, tables, d_alpha, sf, cap, group, elapsed, chunk
-            )
+            sent, left = _serve_segment(rng, state, tables, sf, cap, group, elapsed, chunk)
             transmissions += sent
             elapsed += sent * tables.slot_s[sf - SF_MIN]
             if left.size > 0:
                 incomplete = True
-        if any(a is None for a in assigned):
+        if np.isnan(member_sf).any():
             incomplete = True
     elif isinstance(scheme, FixedSfScheme):
         active = np.arange(n)
-        sent, left = _serve_segment(
-            rng, state, tables, d_alpha, scheme.sf, cap, active, elapsed, chunk
-        )
+        sent, left = _serve_segment(rng, state, tables, scheme.sf, cap, active, elapsed, chunk)
         transmissions += sent
         elapsed += sent * tables.slot_s[scheme.sf - SF_MIN]
         if left.size > 0:
@@ -341,9 +452,7 @@ def run_session(
                 budget = min(scheme.frames_per_round, cap - transmissions)
             else:
                 budget = cap - transmissions
-            sent, active = _serve_segment(
-                rng, state, tables, d_alpha, sf, budget, active, elapsed, chunk
-            )
+            sent, active = _serve_segment(rng, state, tables, sf, budget, active, elapsed, chunk)
             transmissions += sent
             elapsed += sent * tables.slot_s[sf - SF_MIN]
         if active.size > 0:
@@ -351,42 +460,38 @@ def run_session(
     else:
         raise TypeError(f"unknown scheme {scheme!r}")
 
-    control = analysis.control_energy_j(
-        phy, net.control_listen_s, net.ack_payload_bytes, net.ack_uplink_sf
-    )
-    outcomes = []
-    for g in range(n):
-        energy = float(
-            state.full_listens[g] @ tables.e_frame
-            + state.preamble_listens[g] @ tables.e_preamble
-        )
-        outcomes.append(
-            RecipientOutcome(
-                distance_m=float(distances[g]),
-                fragments_needed=int(state.thresholds[g]),
-                fragments_received=int(state.received[g]),
-                completed=bool(state.completed[g]),
-                completion_time_s=float(state.completion_time[g]),
-                energy_fragments_j=energy,
-                energy_control_j=control if state.completed[g] else 0.0,
-                attempts_full=int(state.full_listens[g].sum()),
-                attempts_preamble_only=int(state.preamble_listens[g].sum()),
-                assigned_sf=assigned[g],
-            )
-        )
     return SessionResult(
-        outcomes=tuple(outcomes),
+        distances=distances,
+        fragments_needed=state.thresholds,
+        fragments_received=state.received,
+        completed=state.completed,
+        completion_time_s=state.completion_time,
+        energy_fragments_j=(
+            state.full_listens @ tables.e_frame + state.preamble_listens @ tables.e_preamble
+        ),
+        control_energy_j=analysis.control_energy_j(
+            phy, net.control_listen_s, net.ack_payload_bytes, net.ack_uplink_sf
+        ),
+        attempts_full=state.full_listens.sum(axis=1),
+        attempts_preamble_only=state.preamble_listens.sum(axis=1),
+        assigned_sf=member_sf,
         transmissions=transmissions,
         duration_s=elapsed,
         incomplete=incomplete,
     )
 
 
-def _lookup_assignment(assignment: dict[float, Optional[int]], distance: float) -> float:
-    keys = sorted(assignment)
-    nearest = min(keys, key=lambda x: abs(x - distance))
-    sf = assignment[nearest]
-    return float("nan") if sf is None else float(sf)
+def _lookup_assignment(
+    assignment: dict[float, Optional[int]], distances: np.ndarray
+) -> np.ndarray:
+    """Serving SF of each distance's nearest assignment key, nan where that
+    key is unreachable; equidistant keys resolve to the lower one."""
+    keys = np.array(sorted(assignment))
+    sfs = np.array([np.nan if assignment[k] is None else assignment[k] for k in keys])
+    right = np.minimum(np.searchsorted(keys, distances), keys.size - 1)
+    left = np.maximum(right - 1, 0)
+    lower = np.abs(keys[left] - distances) <= np.abs(keys[right] - distances)
+    return sfs[np.where(lower, left, right)]
 
 
 def _group_assignment_for(
@@ -418,22 +523,30 @@ def run_experiment(
     runs: Optional[int] = None,
     seed: Optional[int] = None,
     code: Optional[RatelessModel] = None,
+    group_assignment: Optional[dict[float, Optional[int]]] = None,
 ) -> ExperimentResult:
-    """Repeat sessions with independent seeds and reduce to binned metrics."""
+    """Repeat sessions with independent seeds and reduce to binned metrics.
+
+    A group-based scheme uses ``group_assignment`` when given, else the
+    assignment is derived from fresh success tables.
+    """
     runs = runs if runs is not None else spec.sim.runs
     seed = seed if seed is not None else spec.seed
     code = code or spec.firmware.code
     if runs < 1:
         raise ValueError("runs must be at least 1")
 
-    group_assignment = None
-    if isinstance(scheme, GroupBasedScheme):
+    if isinstance(scheme, GroupBasedScheme) and group_assignment is None:
         group_assignment = _group_assignment_for(spec, scheme, code)
 
     bins = np.array(spec.grid_distances())
     edges = np.linspace(0.0, spec.network.cell_radius_m, bins.size + 1)
     e_norm = analysis.normalization_energy_j(
         spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
+    )
+    tables = _SfTables(
+        spec.phy, spec.network.interferers, spec.firmware.fragment_payload_bytes,
+        spec.network.duty_cycle_max_percent,
     )
 
     ee_runs = np.full((runs, bins.size), np.nan)
@@ -444,33 +557,32 @@ def run_experiment(
     for r in range(runs):
         rng = np.random.default_rng(children[r])
         session = run_session(
-            spec, scheme, rng, group_assignment=group_assignment, code=code
+            spec, scheme, rng, group_assignment=group_assignment, code=code, tables=tables
         )
         if session.incomplete:
             incomplete_sessions += 1
-        d = np.array([o.distance_m for o in session.outcomes])
-        ok = np.array([o.completed for o in session.outcomes])
-        ee = np.array([o.energy_fragments_j for o in session.outcomes]) / e_norm
-        dt = np.array([o.completion_time_s for o in session.outcomes]) / 3600.0
+        ok = session.completed
         unfinished += int((~ok).sum())
-        which = np.clip(np.digitize(d, edges, right=True) - 1, 0, bins.size - 1)
-        for b in range(bins.size):
-            members = ok & (which == b)
-            if members.any():
-                ee_runs[r, b] = ee[members].mean()
-                dt_runs[r, b] = dt[members].mean()
+        which = np.clip(np.digitize(session.distances, edges, right=True) - 1, 0, bins.size - 1)
+        members = np.bincount(which[ok], minlength=bins.size)
+        seen = members > 0
+        for per_run, values in (
+            (ee_runs, session.energy_fragments_j / e_norm),
+            (dt_runs, session.completion_time_s / 3600.0),
+        ):
+            sums = np.bincount(which[ok], weights=values[ok], minlength=bins.size)
+            per_run[r, seen] = sums[seen] / members[seen]
 
     def reduce(per_run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        seen = ~np.isnan(per_run)
+        count = seen.sum(axis=0)
         means = np.full(bins.size, np.nan)
         errs = np.full(bins.size, np.nan)
-        for b in range(bins.size):
-            col = per_run[:, b]
-            col = col[~np.isnan(col)]
-            if col.size > 0:
-                means[b] = col.mean()
-                errs[b] = (
-                    col.std(ddof=1) / math.sqrt(col.size) if col.size > 1 else 0.0
-                )
+        has = count > 0
+        means[has] = np.nanmean(per_run[:, has], axis=0)
+        errs[has] = 0.0
+        many = count > 1
+        errs[many] = np.nanstd(per_run[:, many], axis=0, ddof=1) / np.sqrt(count[many])
         return means, errs
 
     ee_mean, ee_err = reduce(ee_runs)

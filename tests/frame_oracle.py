@@ -1,0 +1,86 @@
+"""Frame-by-frame reference sampler for the session simulator.
+
+This is the simulator's original segment sampler: every frame of every
+active recipient gets its own fading draw and Poisson overlap count, in
+dense (recipients x chunk) arrays. The package does not import it; tests
+swap it in for ``sim._serve_segment`` and compare the two samplers' laws.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fuotacast.phy import ALL_SFS, SF_MIN
+
+
+def serve_segment_by_frame(
+    rng: np.random.Generator,
+    state,
+    tables,
+    sf: int,
+    max_frames: int,
+    active: np.ndarray,
+    t_start: float,
+    chunk_frames: int,
+) -> tuple[int, np.ndarray]:
+    """Send up to ``max_frames`` frames at one SF to the active recipients,
+    simulating every frame; same contract as ``sim._serve_segment``."""
+    row = sf - SF_MIN
+    sent = 0
+    while sent < max_frames and active.size > 0:
+        f = min(chunk_frames, max_frames - sent)
+        a = active.size
+        fading = rng.exponential(1.0, size=(a, f))
+        detected = fading > state.detect_c[active, row][:, None]
+
+        frame_kill = np.zeros((a, f), dtype=bool)
+        pre_kill = np.zeros((a, f), dtype=bool)
+        rates = tables.event_rate_per_interferer[row] * state.int_counts[active]
+        if rates.max(initial=0.0) > 0.0:
+            k = rng.poisson(lam=rates[:, None], size=(a, f))
+            total = int(k.sum())
+            if total > 0:
+                cell = np.repeat(np.arange(a * f), k.ravel())
+                r_loc = cell // f
+                g = active[r_loc]
+                j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
+                j = np.minimum(j, len(ALL_SFS) - 1)
+                src_local = (rng.random(total) * state.int_counts[g]).astype(np.int64)
+                u_alpha = state.interferer_u_alpha(rng, state.int_offsets[g] + src_local)
+                a_event = fading.ravel()[cell]
+                limit = a_event * u_alpha / (state.d_alpha[g] * tables.capture[row, j])
+                kill = rng.exponential(1.0, size=total) > limit
+                in_pre = rng.random(total) < tables.preamble_share[row, j]
+                fk = np.bincount(cell[kill], minlength=a * f) > 0
+                pk = np.bincount(cell[kill & in_pre], minlength=a * f) > 0
+                frame_kill = fk.reshape(a, f)
+                pre_kill = pk.reshape(a, f)
+
+        success = detected & ~frame_kill
+        preamble_ok = detected & ~pre_kill
+
+        need = (state.thresholds[active] - state.received[active])[:, None]
+        cum = np.cumsum(success, axis=1)
+        hit = cum >= need
+        done = hit.any(axis=1)
+        first = np.where(done, hit.argmax(axis=1), f)
+
+        listen_mask = np.arange(f)[None, :] <= np.minimum(first, f - 1)[:, None]
+        full = (preamble_ok & listen_mask).sum(axis=1)
+        state.full_listens[active, row] += full
+        state.preamble_listens[active, row] += listen_mask.sum(axis=1) - full
+        state.received[active] += np.where(
+            done, need[:, 0], (success & listen_mask).sum(axis=1)
+        )
+
+        frames_now = int(first.max()) + 1 if bool(done.all()) else f
+        finishers = active[done]
+        state.completed[finishers] = True
+        state.completion_time[finishers] = (
+            t_start + (sent + first[done] + 1) * tables.slot_s[row]
+        )
+        active = active[~done]
+        sent += frames_now
+        if bool(done.all()):
+            break
+    return sent, active

@@ -339,3 +339,26 @@ class TestSimulationSuite:
                 assert row.ee_norm_sim == pytest.approx(
                     row.ee_norm_analysis, rel=0.10
                 ), (label, d)
+
+    @pytest.mark.parametrize("mode", ["both", "simulate"])
+    def test_grid_tables_are_built_once_per_suite(self, monkeypatch, mode):
+        spec = load_default_spec({"layout": {"recipients": 10}})
+        built = []
+        real = analysis.success_tables
+
+        def counting(distance_m, *args, **kwargs):
+            built.append(distance_m)
+            return real(distance_m, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "success_tables", counting)
+        benchmarks.run_suite(spec, mode, runs=1, seed=3)
+        assert sorted(built) == list(spec.grid_distances())
+
+    def test_grid_assignment_matches_the_lattice_path(self, spec):
+        tables = benchmarks.build_tables(spec)
+        for criterion in ("energy", "latency"):
+            scheme = GroupBasedScheme(criterion)
+            code = benchmarks.scheme_code(spec, scheme)
+            assert benchmarks._group_assignment(tables, spec, scheme) == (
+                sim._group_assignment_for(spec, scheme, code)
+            )

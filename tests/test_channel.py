@@ -104,6 +104,48 @@ class TestInterfererCounts:
             counts, weights = interferer_count_weights(mu, tail_mass=1e-9)
             assert float(weights @ counts) == pytest.approx(mu, rel=1e-6)
 
+    # (mean, tail mass): (lo, hi, first, middle and last weight), as produced
+    # by scipy.stats.poisson ppf / isf / pmf; 493.9 and 19757.6 are the stock
+    # (5e-5 /m2) and dense (2e-3 /m2) mean counts
+    PINNED_WINDOWS = {
+        (100.0, 1e-6): (55, 153, 2.9300254440270435e-07, 0.03612071501038032,
+                        1.8541579426819159e-07),
+        (100.0, 1e-9): (45, 167, 3.109853630328222e-10, 0.032453450716675526,
+                        2.4740856072591346e-10),
+        (300.0, 1e-6): (219, 388, 1.530959627188612e-07, 0.02227535100346745,
+                        1.515838808527276e-07),
+        (300.0, 1e-9): (200, 412, 1.7338747943552047e-10, 0.0214805508013846,
+                        1.4813562952016826e-10),
+        (493.9, 1e-6): (389, 606, 1.2120980042426792e-07, 0.017573280017797108,
+                        1.1504439399694673e-07),
+        (493.9, 1e-9): (364, 636, 1.4096413258580042e-10, 0.017181454801090453,
+                        1.169675972542782e-10),
+        (19757.6, 1e-6): (19074, 20449, 1.838300294699255e-08, 0.002836484749595574,
+                          1.786251371358446e-08),
+        (19757.6, 1e-9): (18905, 20622, 2.268898023528407e-11, 0.0028347886641640874,
+                          2.2332427332924503e-11),
+    }
+
+    @pytest.mark.parametrize("mean,tail", sorted(PINNED_WINDOWS))
+    def test_count_window_and_weights_are_pinned(self, mean, tail):
+        lo, hi, first, middle, last = self.PINNED_WINDOWS[(mean, tail)]
+        counts, weights = interferer_count_weights(mean, tail_mass=tail)
+        assert (int(counts[0]), int(counts[-1])) == (lo, hi)
+        assert np.array_equal(counts, np.arange(lo, hi + 1))
+        got = (weights[0], weights[weights.size // 2], weights[-1])
+        assert got == pytest.approx((first, middle, last), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("mean", [0.5, 7.0, 100.0, 493.9, 19757.6])
+    @pytest.mark.parametrize("tail", [1e-6, 1e-9, 0.3])
+    def test_count_weights_match_scipy_stats(self, mean, tail):
+        stats = pytest.importorskip("scipy.stats")
+        counts, weights = interferer_count_weights(mean, tail_mass=tail)
+        lo = int(stats.poisson.ppf(tail / 2.0, mean))
+        hi = int(stats.poisson.isf(tail / 2.0, mean))
+        assert (int(counts[0]), int(counts[-1])) == (lo, hi)
+        want = stats.poisson.pmf(np.arange(lo, hi + 1), mean)
+        np.testing.assert_allclose(weights, want / want.sum(), rtol=1e-15, atol=0.0)
+
 
 class TestSamplers:
     def test_fading_moments(self, rng):

@@ -4,7 +4,9 @@ The strongest checks run the simulator in regimes where its output is
 forced: a clean channel with an ideal decoder must produce exactly one
 full-frame listen per fragment, and a deaf link must burn the whole frame
 budget as preamble-only listens. Statistical agreement with the closed
-forms is checked at a pinned distance with a seeded run.
+forms is checked at a pinned distance with a seeded run, and the
+event-skipping sampler is compared in law with the frame-by-frame sampler
+of ``tests/frame_oracle.py``.
 """
 
 import dataclasses
@@ -12,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from frame_oracle import serve_segment_by_frame
+from scipy import stats
 
 from fuotacast import analysis, sim
 from fuotacast.config import load_default_spec
@@ -80,6 +84,15 @@ class TestCleanChannelExactness:
 
 class TestDeafLinkExhaustion:
     def test_budget_burned_as_preamble_listens(self):
+        self._check_budget_burned(density=5e-5, chunk=512)
+
+    def test_dense_field_short_passes_burn_budget_as_preamble_listens(self):
+        # the dense field overlaps nearly every frame and the short pass splits
+        # the budget over 1,443 passes; neither may turn a listen into a full one
+        self._check_budget_burned(density=2e-3, chunk=7)
+
+    @staticmethod
+    def _check_budget_burned(density, chunk):
         deaf = load_default_spec(
             {
                 "phy": {
@@ -88,7 +101,9 @@ class TestDeafLinkExhaustion:
                         10: -13.0, 11: -14.0, 12: -15.0,
                     }
                 },
+                "interferers": {"intensity_per_m2": density},
                 "layout": {"recipients": 12},
+                "sim": {"chunk_frames": chunk},
             }
         )
         rng = np.random.default_rng(9)
@@ -218,6 +233,17 @@ class TestGroupBasedSession:
         assert not skipped.completed
         assert skipped.attempts_full == 0 and skipped.attempts_preamble_only == 0
 
+    def test_nearest_key_lookup_breaks_ties_low(self):
+        spec = load_default_spec()
+        res = sim.run_session(
+            spec,
+            GroupBasedScheme("energy"),
+            np.random.default_rng(13),
+            group_assignment={100.0: 7, 200.0: 9, 300.0: None},
+            distances=np.array([150.0, 151.0, 50.0, 250.0, 260.0, 999.0]),
+        )
+        assert [o.assigned_sf for o in res.outcomes] == [7, 9, 7, 9, None, None]
+
     def test_missing_assignment_raises(self):
         spec = load_default_spec()
         with pytest.raises(ValueError):
@@ -307,3 +333,154 @@ class TestGridPlacement:
         res = sim.run_session(spec, FixedSfScheme(12), np.random.default_rng(3))
         radius = spec.network.cell_radius_m
         assert all(0.0 < o.distance_m <= radius for o in res.outcomes)
+
+
+STOCK, DENSE = 5.0e-5, 2.0e-3
+
+
+def _sessions(spec, scheme, distance, *, recipients, runs, seed, assignment=None):
+    """Per-recipient energies and completion times (nan: unfinished), and
+    frames sent per session, from ``runs`` seeded sessions of a cohort
+    pinned at one distance."""
+    energy, finish, sent = [], [], []
+    for child in np.random.SeedSequence(seed).spawn(runs):
+        res = sim.run_session(
+            spec, scheme, np.random.default_rng(child),
+            group_assignment=assignment, distances=np.full(recipients, distance),
+        )
+        energy.append(res.energy_fragments_j)
+        finish.append(res.completion_time_s)
+        sent.append(res.transmissions)
+    return np.concatenate(energy), np.concatenate(finish), np.array(sent, dtype=float)
+
+
+def _assert_same_law(a, b, p_min=1e-3, z_max=4.0):
+    """Two-sample KS on energy and on completion time, and a z-test on the
+    mean frames sent. A cohort at one distance makes the recipients of a
+    session i.i.d., which the KS test assumes."""
+    (e_a, t_a, s_a), (e_b, t_b, s_b) = a, b
+    assert stats.ks_2samp(e_a, e_b).pvalue > p_min
+    assert np.isnan(t_a).mean() == pytest.approx(np.isnan(t_b).mean(), abs=0.05)
+    assert stats.ks_2samp(t_a[~np.isnan(t_a)], t_b[~np.isnan(t_b)]).pvalue > p_min
+    se = math.sqrt(s_a.var(ddof=1) / s_a.size + s_b.var(ddof=1) / s_b.size)
+    if se == 0.0:
+        assert s_a.mean() == s_b.mean()
+    else:
+        assert abs(s_a.mean() - s_b.mean()) / se < z_max
+
+
+# (scheme, cohort distance, group assignment); fixed SF12 at 2e-3 /m2 is the
+# saturated field, where 99.998 % of frames overlap an interferer frame
+SCHEME_CASES = {
+    "proposed": (ProposedScheme(7, 12, 300), 600.0, None),
+    "fixed": (FixedSfScheme(12), 800.0, None),
+    "group": (GroupBasedScheme("energy"), 400.0, {400.0: 9}),
+}
+
+
+class TestSamplerMatchesFrameOracle:
+    """The event-skipping sampler against the frame-by-frame reference
+    sampler kept in ``tests/frame_oracle.py``."""
+
+    @pytest.mark.parametrize("density", [STOCK, DENSE], ids=["stock", "dense"])
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_two_sample_agreement(self, monkeypatch, density, case):
+        scheme, distance, assignment = SCHEME_CASES[case]
+        spec = load_default_spec({"interferers": {"intensity_per_m2": density}})
+        kw = dict(recipients=25, runs=40, assignment=assignment)
+        skipping = _sessions(spec, scheme, distance, seed=1, **kw)
+        monkeypatch.setattr(sim, "_serve_segment", serve_segment_by_frame)
+        by_frame = _sessions(spec, scheme, distance, seed=2, **kw)
+        _assert_same_law(skipping, by_frame)
+
+    def test_saturated_field_overlaps_almost_every_frame(self):
+        spec = load_default_spec({"interferers": {"intensity_per_m2": DENSE}})
+        tables = sim._SfTables(spec.phy, spec.network.interferers, PAYLOAD, 1.0)
+        radius = sim.interference_radius(
+            spec.network.link, spec.network.interferers, spec.phy.sensitivity_w(12)
+        )
+        mean_count = sim.mean_interferer_count(spec.network.interferers, radius)
+        rate = tables.event_rate_per_interferer[12 - 7] * mean_count
+        assert -math.expm1(-rate) == pytest.approx(0.99998, abs=1e-5)
+
+    def test_empty_field_matches_oracle_and_negative_binomial(self, monkeypatch):
+        # no interferer: every frame is clean, so completions fall among
+        # clean frames only and the listen count is k + NegBin(k, q)
+        spec = load_default_spec({"interferers": {"intensity_per_m2": 0.0}})
+        code = _ideal(spec)
+        k = code.fragments
+        q = spec.network.link.detection_probability(spec.phy.sensitivity_w(9), 400.0)
+        assert 0.3 < q < 0.9
+        energies, listens = [], []
+        for child in np.random.SeedSequence(3).spawn(30):
+            res = sim.run_session(
+                spec, FixedSfScheme(9), np.random.default_rng(child),
+                distances=np.full(20, 400.0), code=code,
+            )
+            assert all(o.attempts_full == k for o in res.outcomes)
+            listens.extend(o.attempts_full + o.attempts_preamble_only for o in res.outcomes)
+            energies.append(res.energy_fragments_j)
+        listens = np.array(listens, dtype=float)
+        se = math.sqrt(k * (1.0 - q)) / q / math.sqrt(listens.size)
+        assert abs(listens.mean() - k / q) < 4.0 * se
+        monkeypatch.setattr(sim, "_serve_segment", serve_segment_by_frame)
+        oracle = [
+            sim.run_session(
+                spec, FixedSfScheme(9), np.random.default_rng(child),
+                distances=np.full(20, 400.0), code=code,
+            ).energy_fragments_j
+            for child in np.random.SeedSequence(4).spawn(30)
+        ]
+        assert stats.ks_2samp(np.concatenate(energies), np.concatenate(oracle)).pvalue > 1e-3
+
+    def test_pass_length_does_not_change_the_law(self, monkeypatch):
+        laws = {}
+        for chunk in (1, 7, 512):
+            spec = load_default_spec({"sim": {"chunk_frames": chunk}})
+            laws[chunk] = _sessions(
+                spec, FixedSfScheme(10), 700.0, recipients=20, runs=20, seed=10 + chunk
+            )
+        monkeypatch.setattr(sim, "_serve_segment", serve_segment_by_frame)
+        oracle = _sessions(
+            load_default_spec(), FixedSfScheme(10), 700.0, recipients=20, runs=20, seed=5
+        )
+        for chunk in (1, 7):
+            _assert_same_law(laws[chunk], laws[512])
+        _assert_same_law(laws[512], oracle)
+
+
+class TestCompletionPlacement:
+    """``_place_completion`` against explicit shuffles of a pass."""
+
+    @pytest.mark.parametrize(
+        "r,got,heard_lost,frames",
+        [
+            (1, 1, 0, 1),  # the pass is one frame, which completes it
+            (3, 3, 0, 3),  # every frame is a reception
+            (2, 5, 4, 20),
+            (5, 6, 0, 40),
+            (1, 9, 30, 40),
+        ],
+    )
+    def test_law_matches_shuffled_pass(self, r, got, heard_lost, frames):
+        draws = 4000
+        rng = np.random.default_rng(17)
+        at, full = sim._place_completion(
+            rng,
+            np.full(draws, r), np.full(draws, got), np.full(draws, heard_lost), frames,
+        )
+        # 2: reception, 1: full listen without one, 0: preamble-only listen
+        pass_ = np.array([2] * got + [1] * heard_lost + [0] * (frames - got - heard_lost))
+        want_at, want_full = [], []
+        for _ in range(draws):
+            seq = rng.permutation(pass_)
+            stop = int(np.flatnonzero(seq == 2)[r - 1])
+            want_at.append(stop + 1)
+            want_full.append(int((seq[: stop + 1] > 0).sum()))
+        assert np.all((at >= r) & (at <= frames - got + r))
+        assert np.all((full >= r) & (full <= at))
+        for mine, want in ((at, want_at), (full, want_full)):
+            if np.ptp(want) == 0:
+                assert np.all(mine == want[0])
+            else:
+                assert stats.ks_2samp(mine, want).pvalue > 1e-3
