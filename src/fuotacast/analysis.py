@@ -149,54 +149,85 @@ def _panel_rule(points_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
 
 _NODES_COARSE, _WEIGHTS_COARSE = _panel_rule(16)
 _NODES_FINE, _WEIGHTS_FINE = _panel_rule(24)
+# both rules side by side: the loss terms and the survivor powers are
+# evaluated once over the union, then each rule sums its own columns
+_NODES = np.concatenate([_NODES_COARSE, _NODES_FINE])
+_DECAYED_WEIGHTS = np.concatenate([_WEIGHTS_COARSE, _WEIGHTS_FINE]) * np.exp(-_NODES)
+_RULES = (slice(0, _NODES_COARSE.size), slice(_NODES_COARSE.size, _NODES.size))
 
 
-def _per_interferer_loss(
+def _loss_terms(
     a: np.ndarray,
     sf: int,
-    seg_collision: dict[int, float],
     phy: PhyProfile,
     link: LinkModel,
-    field: InterfererField,
     radius_m: float,
     d_alpha: float,
 ) -> np.ndarray:
-    """Q(a): probability that one uniformly placed interferer wipes the
-    desired segment when the desired fading level is ``a``. Vector over a."""
-    alpha = link.path_loss_exponent
-    s = 2.0 / alpha
-    r_alpha = radius_m**alpha
+    """Disc-averaged capture-kill term of each interferer SF (rows, SF 7..12)
+    at desired fading levels ``a``: gamma(s, beta r**alpha) * beta**-s with
+    s = 2 / alpha. Shared by both segments, which weight the rows by their
+    own collision probabilities."""
+    s = 2.0 / link.path_loss_exponent
+    r_alpha = radius_m**link.path_loss_exponent
     gamma_s = special.gamma(s)
-    total = np.zeros_like(a)
-    for j in ALL_SFS:
-        cij = seg_collision[j]
-        if cij == 0.0:
-            continue
+    terms = np.empty((len(ALL_SFS), a.size))
+    for row, j in enumerate(ALL_SFS):
         beta = np.maximum(a / (phy.capture_ratio(sf, j) * d_alpha), 1e-300)
-        lower_gamma = special.gammainc(s, beta * r_alpha) * gamma_s
-        total += field.sf_probabilities[j] * cij * lower_gamma * beta ** (-s)
-    prefactor = 2.0 / (alpha * radius_m**2)
-    return np.clip(prefactor * total, 0.0, 1.0)
+        terms[row] = special.gammainc(s, beta * r_alpha) * gamma_s * beta ** (-s)
+    return terms
+
+
+def _per_interferer_loss(
+    terms: np.ndarray,
+    seg_collision: dict[int, float],
+    link: LinkModel,
+    field: InterfererField,
+    radius_m: float,
+) -> np.ndarray:
+    """Q(a): probability that one uniformly placed interferer wipes the
+    desired segment, from the :func:`_loss_terms` at the same fading levels."""
+    mix = np.array([field.sf_probabilities[j] * seg_collision[j] for j in ALL_SFS])
+    prefactor = 2.0 / (link.path_loss_exponent * radius_m**2)
+    return np.clip(prefactor * (mix @ terms), 0.0, 1.0)
+
+
+def _power_sums(survive: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sum_k v_k * survive_k**n for every count n, one row per rule, where
+    v_k is the rule's weight times e**-t at node k.
+
+    A two-level power table: with the counts spanning [lo, hi] and
+    B = ceil(sqrt(hi - lo + 1)), n = lo + i*B + j splits survive**n into
+    big[i] = survive**(lo + i*B) times small[j] = survive**j, so
+    sum_k v_k survive_k**n = (big @ (small * v).T)[i, j]. That costs about
+    2 sqrt(N) powers per node instead of N, each power comes from two pows
+    and one multiply (no cumulative-product drift), and the count-by-node
+    matrix is never built.
+    """
+    lo = int(counts.min())
+    offsets = counts - lo
+    block = math.isqrt(int(offsets.max())) + 1
+    starts = lo + block * np.arange(int(offsets.max()) // block + 1)
+    big = np.power(survive, starts.astype(np.float64)[:, None])
+    small = np.power(survive, np.arange(block, dtype=np.float64)[:, None])
+    weighted = small * _DECAYED_WEIGHTS
+    # row-major, the (i, j) entry of each table sits at offset i*B + j
+    return np.stack([(big[:, r] @ weighted[:, r].T).ravel()[offsets] for r in _RULES])
 
 
 def _conditioned_integral(
-    c: float,
-    q_of_a: Callable[[np.ndarray], np.ndarray],
+    survive: np.ndarray,
     counts: np.ndarray,
     rtol: float,
     context: str,
 ) -> np.ndarray:
     """J(n) = integral over t in (0, inf) of (1 - Q(c + t))**n e**-t dt for
     every count n, by fixed Gauss-Legendre panels with a refinement check.
-    The full success probability is e**-c times this."""
-
-    def evaluate(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        survive = 1.0 - q_of_a(c + nodes)
-        powered = np.power(survive[None, :], counts[:, None].astype(np.float64))
-        return powered @ (weights * np.exp(-nodes))
-
-    coarse = evaluate(_NODES_COARSE, _WEIGHTS_COARSE)
-    fine = evaluate(_NODES_FINE, _WEIGHTS_FINE)
+    ``survive`` is 1 - Q(c + t) at ``_NODES`` (the 16-point rule's nodes,
+    then the 24-point rule's). The power sums come from the two-level table
+    of :func:`_power_sums`. The full success probability is e**-c times
+    this."""
+    coarse, fine = _power_sums(survive, counts)
     err = np.abs(fine - coarse)
     bound = np.maximum(rtol * np.abs(fine), 1e-12)
     if np.any(err > bound):
@@ -312,13 +343,11 @@ def success_tables(
             pre[idx] = base
             fr[idx] = base
             continue
+        terms = _loss_terms(c + _NODES, sf, phy, link, radius, d_alpha)
         for seg_collision, out in ((c_pre, pre), (c_fr, fr)):
-            def q_of_a(a, _seg=seg_collision, _sf=sf):
-                return _per_interferer_loss(a, _sf, _seg, phy, link, field, radius, d_alpha)
-
+            survive = 1.0 - _per_interferer_loss(terms, seg_collision, link, field, radius)
             out[idx] = base * _conditioned_integral(
-                c,
-                q_of_a,
+                survive,
                 count_values,
                 options.quadrature_rtol,
                 f"SF{sf} at {distance_m:.1f} m",
@@ -442,33 +471,46 @@ def normalization_energy_j(phy: PhyProfile, fragments: int, payload_bytes: int) 
     return fragments * phy.rx_energy_frame(SF_MIN, payload_bytes)
 
 
+def ramp_costs(
+    tables: SuccessTables,
+    phy: PhyProfile,
+    duty_cycle_max_percent: float,
+    energy_formula: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attempt energy per count (rows SF 7..12) and the duty slot of each SF:
+    the per-table inputs that every ramp (w, L) variant shares."""
+    e_att = np.stack(
+        [tables.attempt_energy_by_count(sf, phy, energy_formula) for sf in ALL_SFS]
+    )
+    slots = np.array(
+        [duty_slot_s(phy, sf, tables.payload_bytes, duty_cycle_max_percent) for sf in ALL_SFS]
+    )
+    return e_att, slots
+
+
 def _proposed_profile(
     tables: SuccessTables,
     scheme: ProposedScheme,
     needed: float,
-    phy: PhyProfile,
-    duty_cycle_max_percent: float,
+    costs: tuple[np.ndarray, np.ndarray],
     options: AnalysisOptions,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-count (energy, time, finishing round, final-round attempts) for
-    the ramp scheme. The finishing round is reported as the SF of the round
-    in which the expected receptions first cover ``needed``; ``max_sf + 1``
-    means the open-ended tail past the last nominal round."""
+    the ramp scheme, given the table's :func:`ramp_costs`. The finishing
+    round is reported as the SF of the round in which the expected
+    receptions first cover ``needed``; ``max_sf + 1`` means the open-ended
+    tail past the last nominal round."""
     if needed <= 0.0:
         raise ValueError("needed fragment count must be positive")
-    sfs = list(range(scheme.min_sf, scheme.max_sf + 1))
+    rows = slice(tables.row(scheme.min_sf), tables.row(scheme.max_sf) + 1)
     w = float(scheme.frames_per_round)
-    n_blocks = len(sfs)
+    n_blocks = scheme.max_sf - scheme.min_sf + 1
     n_counts = tables.count_values.size
     col = np.arange(n_counts)
 
-    s_fr = tables.frame_success[tables.row(scheme.min_sf): tables.row(scheme.max_sf) + 1]
-    e_att = np.stack(
-        [tables.attempt_energy_by_count(sf, phy, options.energy_formula) for sf in sfs]
-    )
-    slots = np.array(
-        [duty_slot_s(phy, sf, tables.payload_bytes, duty_cycle_max_percent) for sf in sfs]
-    )
+    s_fr = tables.frame_success[rows]
+    e_att = costs[0][rows]
+    slots = costs[1][rows]
 
     cum = np.vstack([np.zeros(n_counts), np.cumsum(w * s_fr, axis=0)])
     reached = cum[1:] >= needed
@@ -520,7 +562,8 @@ def completion_round(
     tables = success_tables(
         distance_m, payload_bytes, phy, link, field, options=options, counts=[n_interferers]
     )
-    _, _, rounds, _ = _proposed_profile(tables, scheme, needed, phy, 1.0, options)
+    costs = ramp_costs(tables, phy, 1.0, options.energy_formula)
+    _, _, rounds, _ = _proposed_profile(tables, scheme, needed, costs, options)
     return int(rounds[0])
 
 
@@ -541,7 +584,8 @@ def final_round_attempts(
     tables = success_tables(
         distance_m, payload_bytes, phy, link, field, options=options, counts=[n_interferers]
     )
-    _, _, _, eta = _proposed_profile(tables, scheme, needed, phy, 1.0, options)
+    costs = ramp_costs(tables, phy, 1.0, options.energy_formula)
+    _, _, _, eta = _proposed_profile(tables, scheme, needed, costs, options)
     return float(eta[0])
 
 
@@ -557,9 +601,25 @@ def evaluate_proposed(
 ) -> AnalyticalOutcome:
     """Deconditioned expected outcome of the ramp scheme at one distance."""
     options = options or AnalysisOptions()
-    energy, time, rounds, eta = _proposed_profile(
-        tables, scheme, needed, phy, duty_cycle_max_percent, options
+    costs = ramp_costs(tables, phy, duty_cycle_max_percent, options.energy_formula)
+    return proposed_outcome(
+        tables, scheme, needed, costs, control_energy=control_energy, options=options
     )
+
+
+def proposed_outcome(
+    tables: SuccessTables,
+    scheme: ProposedScheme,
+    needed: float,
+    costs: tuple[np.ndarray, np.ndarray],
+    *,
+    control_energy: float = 0.0,
+    options: Optional[AnalysisOptions] = None,
+) -> AnalyticalOutcome:
+    """:func:`evaluate_proposed` on a table whose :func:`ramp_costs` are
+    already known, so a design sweep computes them once per table."""
+    options = options or AnalysisOptions()
+    energy, time, rounds, eta = _proposed_profile(tables, scheme, needed, costs, options)
     weights = tables.count_weights
     modal = int(np.argmax(weights))
     return AnalyticalOutcome(

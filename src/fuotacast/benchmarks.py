@@ -76,6 +76,7 @@ class LifetimeRow:
     uplink_sf: int
     rx_hours_per_update: float
     lifetime_years: float
+    reachable: bool = True
 
 
 def scheme_code(spec: ExperimentSpec, scheme: Scheme) -> RatelessModel:
@@ -324,15 +325,18 @@ def sweep_grid(spec: ExperimentSpec) -> list[SweepRow]:
     e_norm = analysis.normalization_energy_j(
         phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
     )
+    # attempt energies and duty slots depend only on the table, not on (w, L)
+    costs = [
+        (tab, analysis.ramp_costs(tab, phy, dc, opts.energy_formula))
+        for tab in tables.values()
+    ]
     rows = []
     for min_sf in spec.sweep.min_sf:
         for w in spec.sweep.frames_per_round:
             scheme = ProposedScheme(min_sf=min_sf, max_sf=base.max_sf, frames_per_round=w)
             ee, dt = [], []
-            for tab in tables.values():
-                res = analysis.evaluate_proposed(
-                    tab, scheme, needed, phy, duty_cycle_max_percent=dc, options=opts
-                )
+            for tab, cost in costs:
+                res = analysis.proposed_outcome(tab, scheme, needed, cost, options=opts)
                 ee.append(res.energy_fragments_j / e_norm)
                 dt.append(res.update_time_s / 3600.0)
             rows.append(
@@ -382,7 +386,8 @@ def _location_energy_sim(
     seed: int,
 ) -> float:
     """Mean per-recipient listening energy from sessions of a cohort pinned
-    at one distance."""
+    at one distance. Raises :class:`analysis.UnreachableRecipientError`
+    when a group-based scheme has no SF that reaches the distance."""
     code = scheme_code(spec, scheme)
     assignment = None
     if isinstance(scheme, GroupBasedScheme):
@@ -447,8 +452,15 @@ def lifetime_rows(
         for scheme in spec.schemes:
             if mode == "analysis":
                 energy = _analysis_metrics(tables, spec, scheme)[d][0]
+                reachable = not math.isnan(energy)
             else:
-                energy = _location_energy_sim(spec, scheme, d, runs, seed)
+                # an unreachable location gets the analysis's nan row; a nan
+                # from sessions that ran means no recipient completed
+                try:
+                    energy = _location_energy_sim(spec, scheme, d, runs, seed)
+                    reachable = True
+                except analysis.UnreachableRecipientError:
+                    energy, reachable = float("nan"), False
             if math.isnan(energy):
                 rows.append(
                     LifetimeRow(
@@ -456,6 +468,7 @@ def lifetime_rows(
                         uplink_sf=loc.uplink_sf,
                         rx_hours_per_update=float("nan"),
                         lifetime_years=float("nan"),
+                        reachable=reachable,
                     )
                 )
                 continue

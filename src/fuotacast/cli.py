@@ -231,7 +231,7 @@ def _cmd_lifetime(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "seed": spec.seed,
     })
-    if mode == "sim" and any(math.isnan(r.lifetime_years) for r in rows):
+    if mode == "sim" and any(r.reachable and math.isnan(r.lifetime_years) for r in rows):
         print("warning: some locations produced no completed recipients", file=sys.stderr)
         return 4
     print(f"wrote {out / 'lifetime.csv'} ({len(rows)} rows)")

@@ -5,8 +5,10 @@ Two independent references anchor the outage-plus-capture integrals:
 * A 25-digit adaptive quadrature (mpmath) of the survivor integral
   S = exp(-c) * int_0^inf exp(-t) (1 - Q(c + t))^n dt, with the disc
   average of the capture-kill probability done through the incomplete
-  gamma closed form. Frozen below in MPMATH_ORACLE; the generator agreed
-  with this module to within 4e-16 relative.
+  gamma closed form. Frozen below in MPMATH_ORACLE and regenerated by
+  ``scripts/make_mpmath_oracle.py``. The four stock-field cases agree with
+  this module to within 4e-16 relative; the three at the low end, the mode
+  and the high end of the 2e-3 /m2 count window to within 5e-14.
 * A direct Monte Carlo of the same mechanism (shared desired fading, one
   Bernoulli collision per interferer, fresh interferer fading), run here
   at reduced size and checked to four standard errors. A 2e6-trial run
@@ -17,10 +19,12 @@ Everything else is checked against small hand models built inline.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from fuotacast import analysis
 from fuotacast.analysis import (
@@ -28,7 +32,11 @@ from fuotacast.analysis import (
     NumericalIntegrationError,
     UnreachableRecipientError,
 )
-from fuotacast.channel import interference_radius
+from fuotacast.channel import (
+    interference_radius,
+    interferer_count_weights,
+    mean_interferer_count,
+)
 from fuotacast.config import load_default_spec
 from fuotacast.schemes import ProposedScheme
 
@@ -41,7 +49,11 @@ MPMATH_ORACLE = {
     (500.0, 3, 9, "frame"): 0.293264714227246,
     (900.0, 10, 11, "preamble"): 0.222479799715397,
     (900.0, 10, 11, "frame"): 0.222448494015653,
+    (500.0, 19074, 12, "frame"): 0.482375417768757,
+    (500.0, 19757, 12, "frame"): 0.473968752239979,
+    (500.0, 20449, 12, "frame"): 0.465647470963305,
 }
+# the Monte Carlo draws every interferer, so it covers the small counts only
 MC_SEEDS = {
     (500.0, 3, 9, "preamble"): 11,
     (500.0, 3, 9, "frame"): 12,
@@ -62,7 +74,7 @@ class TestSurvivalOracles:
             got = _survival(d0, n, sf, seg, phy, link, field)
             assert got == pytest.approx(want, rel=1e-12), (d0, n, sf, seg)
 
-    @pytest.mark.parametrize("case", sorted(MPMATH_ORACLE))
+    @pytest.mark.parametrize("case", sorted(MC_SEEDS))
     def test_monte_carlo_agrees(self, case, phy, link, field):
         d0, n, sf, seg = case
         trials = 200_000
@@ -102,10 +114,116 @@ class TestSurvivalOracles:
     def test_quadrature_refinement_failure_raises(self, spec):
         dense = dataclasses.replace(spec.network.interferers, intensity_per_m2=0.05)
         strict = dataclasses.replace(spec.analysis, quadrature_rtol=1e-13)
-        with pytest.raises(NumericalIntegrationError):
+        with pytest.raises(NumericalIntegrationError) as info:
             analysis.success_tables(
                 1000.0, PAYLOAD, spec.phy, spec.network.link, dense, options=strict
             )
+        # the message names the worst count, which must lie in the window
+        found = re.search(r"SF\d+ at 1000\.0 m: .* at interferer count (\d+)$", str(info.value))
+        assert found, str(info.value)
+        window = _window(dense, spec.phy, spec.network.link, strict.count_tail_mass)
+        assert window[0] <= int(found.group(1)) <= window[-1]
+
+
+def _loss(d0, sf, segment, phy, link, field):
+    """Q(c + t) as a function of t, through the module's closed form."""
+    radius = interference_radius(link, field, phy.sensitivity_w(12))
+    c = link.outage_threshold(phy.sensitivity_w(sf), d0)
+    collide = {
+        j: analysis.collision_probability(sf, j, segment, PAYLOAD, phy, field)
+        for j in range(7, 13)
+    }
+
+    def q_of_t(t):
+        terms = analysis._loss_terms(
+            c + np.atleast_1d(t), sf, phy, link, radius, d0**link.path_loss_exponent
+        )
+        return analysis._per_interferer_loss(terms, collide, link, field, radius)
+
+    return c, q_of_t
+
+
+def _direct_power_sums(survive, counts):
+    """The count-by-node power matrix that the two-level table replaces."""
+    n_coarse = analysis._NODES_COARSE.size
+    out = []
+    for s, nodes, weights in (
+        (survive[:n_coarse], analysis._NODES_COARSE, analysis._WEIGHTS_COARSE),
+        (survive[n_coarse:], analysis._NODES_FINE, analysis._WEIGHTS_FINE),
+    ):
+        powered = np.power(s[None, :], counts[:, None].astype(np.float64))
+        out.append(powered @ (weights * np.exp(-nodes)))
+    return np.stack(out)
+
+
+def _window(field, phy, link, tail=1e-6):
+    radius = interference_radius(link, field, phy.sensitivity_w(12))
+    return interferer_count_weights(mean_interferer_count(field, radius), tail)[0]
+
+
+class TestPowerTable:
+    """The two-level power table against the direct power matrix."""
+
+    SURVIVE_CASES = (
+        (100.0, 7, "frame"),
+        (500.0, 12, "frame"),
+        (900.0, 12, "preamble"),
+    )
+
+    def _check(self, counts, phy, link, field):
+        counts = np.asarray(counts, dtype=np.int64)
+        for d0, sf, segment in self.SURVIVE_CASES:
+            _, q_of_t = _loss(d0, sf, segment, phy, link, field)
+            survive = 1.0 - q_of_t(analysis._NODES)
+            got = analysis._power_sums(survive, counts)
+            np.testing.assert_allclose(
+                got, _direct_power_sums(survive, counts), rtol=1e-13, atol=0.0,
+                err_msg=f"{d0} m SF{sf} {segment}",
+            )
+
+    @pytest.mark.parametrize("density", [5e-5, 2e-3])
+    def test_count_windows(self, density, phy, link, field):
+        dense = dataclasses.replace(field, intensity_per_m2=density)
+        self._check(_window(dense, phy, link), phy, link, field)
+
+    @pytest.mark.parametrize("counts", [[0], [5], [0, 7, 1000]])
+    def test_explicit_counts(self, counts, phy, link, field):
+        self._check(counts, phy, link, field)
+
+    # 1, 2, and B**2 and B**2 + 1 for B = 3 and 37 (B**2 + 1 needs B + 1)
+    @pytest.mark.parametrize("span", [1, 2, 9, 10, 1369, 1370])
+    def test_spans_around_a_full_square(self, span, phy, link, field):
+        self._check(np.arange(19074, 19074 + span), phy, link, field)
+
+
+class TestPoissonPgfIdentity:
+    """sum_n w_n S(n) = e**-c int e**-t exp(-m Q(c + t)) dt, because
+    E[(1 - Q)**N] = exp(-m Q) for Poisson N of mean m."""
+
+    @pytest.mark.parametrize("density", [5e-5, 2e-3])
+    @pytest.mark.parametrize("d0", [100.0, 500.0, 950.0])
+    @pytest.mark.parametrize("sf", [7, 12])
+    def test_deconditioned_success_matches_pgf(self, density, d0, sf, spec):
+        phy, link, opts = spec.phy, spec.network.link, spec.analysis
+        dense = dataclasses.replace(spec.network.interferers, intensity_per_m2=density)
+        tables = analysis.success_tables(d0, PAYLOAD, phy, link, dense, options=opts)
+        m = mean_interferer_count(dense, tables.interference_radius_m)
+        budget = opts.count_tail_mass + opts.quadrature_rtol
+        for segment, got in (
+            ("preamble", tables.mean_preamble_success(sf)),
+            ("frame", tables.mean_frame_success(sf)),
+        ):
+            c, q_of_t = _loss(d0, sf, segment, phy, link, dense)
+            edges = (0.0, 0.05, 0.25, 1.0, 4.0, 16.0, np.inf)
+            integral = sum(
+                integrate.quad(
+                    lambda t: math.exp(-t - m * float(q_of_t(t)[0])),
+                    a, b, epsabs=0.0, epsrel=1e-12, limit=200,
+                )[0]
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+            want = math.exp(-c) * integral
+            assert got == pytest.approx(want, rel=budget, abs=0.0), segment
 
 
 class TestCollisionProbability:

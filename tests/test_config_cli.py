@@ -289,6 +289,31 @@ class TestSweepAndLifetimeVerbs:
         assert manifest["mode"] == "sim"
         assert manifest["runs"] == 4
 
+    def test_lifetime_sim_mode_unreachable_group_location_writes_empty_row(self, tmp_path):
+        # no SF reaches the 4000 m edge within the group stream's frame
+        # budget; sim mode writes the same empty row as the analysis
+        cfg = _write(
+            tmp_path,
+            "far.yaml",
+            "name: farcell\n"
+            "schemes:\n"
+            "  - {type: group_based, criterion: energy}\n"
+            "network: {cell_radius_m: 4000.0}\n"
+            "layout: {recipients: 5}\n",
+        )
+        for mode in ("analysis", "sim"):
+            out = tmp_path / mode
+            rc = cli.main(
+                ["lifetime", "--config", str(cfg), "--mode", mode, "--runs", "1",
+                 "--out", str(out)]
+            )
+            assert rc == 0, mode
+            lines = (out / "lifetime.csv").read_text().splitlines()
+            assert lines[2] == LIFETIME_HEADER
+            rows = {line.split(",")[0]: line.split(",") for line in lines[3:]}
+            assert rows["edge"][4:] == ["", ""], mode
+            assert rows["near"][4] != "", mode
+
 
 class TestErrorExits:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
