@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
+from . import specfun
 from .channel import (
     InterfererField,
     LinkModel,
@@ -83,13 +83,16 @@ class AnalysisOptions:
 
 @dataclass(frozen=True)
 class AnalyticalOutcome:
-    """Expected per-recipient result of one firmware session."""
+    """Expected per-recipient result of one firmware session.
+    ``expected_frames`` counts the frames sent until the recipient
+    completes, deconditioned over the interferer count."""
 
     energy_fragments_j: float
     energy_control_j: float
     update_time_s: float
     round_completed: int
     attempts_in_final_round: float
+    expected_frames: float
 
     @property
     def energy_total_j(self) -> float:
@@ -158,7 +161,7 @@ _RULES = (slice(0, _NODES_COARSE.size), slice(_NODES_COARSE.size, _NODES.size))
 
 def _loss_terms(
     a: np.ndarray,
-    sf: int,
+    sf,
     phy: PhyProfile,
     link: LinkModel,
     radius_m: float,
@@ -166,16 +169,17 @@ def _loss_terms(
 ) -> np.ndarray:
     """Disc-averaged capture-kill term of each interferer SF (rows, SF 7..12)
     at desired fading levels ``a``: gamma(s, beta r**alpha) * beta**-s with
-    s = 2 / alpha. Shared by both segments, which weight the rows by their
-    own collision probabilities."""
+    s = 2 / alpha. For a sequence of desired SFs, ``a`` has one row of
+    levels per SF and the result one block of rows per SF, so one
+    incomplete-gamma call covers a whole table. Shared by both segments,
+    which weight the rows by their own collision probabilities."""
     s = 2.0 / link.path_loss_exponent
     r_alpha = radius_m**link.path_loss_exponent
-    gamma_s = special.gamma(s)
-    terms = np.empty((len(ALL_SFS), a.size))
-    for row, j in enumerate(ALL_SFS):
-        beta = np.maximum(a / (phy.capture_ratio(sf, j) * d_alpha), 1e-300)
-        terms[row] = special.gammainc(s, beta * r_alpha) * gamma_s * beta ** (-s)
-    return terms
+    caps = np.array(
+        [[phy.capture_ratio(i, j) for j in ALL_SFS] for i in np.atleast_1d(sf).tolist()]
+    ).reshape(np.shape(sf) + (len(ALL_SFS),))
+    beta = np.maximum(np.asarray(a)[..., None, :] / (caps[..., None] * d_alpha), 1e-300)
+    return specfun.gammainc_lower(s, beta * r_alpha) * math.gamma(s) * beta ** (-s)
 
 
 def _per_interferer_loss(
@@ -325,6 +329,9 @@ def success_tables(
     d_alpha = distance_m**link.path_loss_exponent
     pre = np.zeros((len(ALL_SFS), n_counts))
     fr = np.zeros((len(ALL_SFS), n_counts))
+    # (row, SF, threshold, detection probability, preamble and frame
+    # collisions) of every SF whose integrals need the quadrature
+    pending = []
     for idx, sf in enumerate(ALL_SFS):
         c = link.outage_threshold(phy.sensitivity_w(sf), distance_m)
         base = math.exp(-c) if c < 745.0 else 0.0
@@ -343,15 +350,20 @@ def success_tables(
             pre[idx] = base
             fr[idx] = base
             continue
-        terms = _loss_terms(c + _NODES, sf, phy, link, radius, d_alpha)
-        for seg_collision, out in ((c_pre, pre), (c_fr, fr)):
-            survive = 1.0 - _per_interferer_loss(terms, seg_collision, link, field, radius)
-            out[idx] = base * _conditioned_integral(
-                survive,
-                count_values,
-                options.quadrature_rtol,
-                f"SF{sf} at {distance_m:.1f} m",
-            )
+        pending.append((idx, sf, c, base, c_pre, c_fr))
+    if pending:
+        _, sfs, thresholds, _, _, _ = zip(*pending)
+        levels = np.array(thresholds)[:, None] + _NODES
+        all_terms = _loss_terms(levels, sfs, phy, link, radius, d_alpha)
+        for (idx, sf, _, base, c_pre, c_fr), terms in zip(pending, all_terms):
+            for seg_collision, out in ((c_pre, pre), (c_fr, fr)):
+                survive = 1.0 - _per_interferer_loss(terms, seg_collision, link, field, radius)
+                out[idx] = base * _conditioned_integral(
+                    survive,
+                    count_values,
+                    options.quadrature_rtol,
+                    f"SF{sf} at {distance_m:.1f} m",
+                )
     return SuccessTables(
         distance_m=float(distance_m),
         payload_bytes=int(payload_bytes),
@@ -622,12 +634,15 @@ def proposed_outcome(
     energy, time, rounds, eta = _proposed_profile(tables, scheme, needed, costs, options)
     weights = tables.count_weights
     modal = int(np.argmax(weights))
+    # the finishing round's index is the number of full rounds before it
+    frames = scheme.frames_per_round * (rounds - scheme.min_sf) + eta
     return AnalyticalOutcome(
         energy_fragments_j=float(weights @ energy),
         energy_control_j=float(control_energy),
         update_time_s=float(weights @ time),
         round_completed=int(rounds[modal]),
         attempts_in_final_round=float(eta[modal]),
+        expected_frames=float(weights @ frames),
     )
 
 
@@ -659,6 +674,7 @@ def evaluate_fixed_sf(
         update_time_s=float(weights @ time),
         round_completed=check_sf(sf),
         attempts_in_final_round=float(attempts[modal]),
+        expected_frames=float(weights @ attempts),
     )
 
 

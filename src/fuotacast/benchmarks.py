@@ -189,6 +189,8 @@ def _analysis_metrics(
                 res = analysis.evaluate_proposed(
                     tab, scheme, needed, phy, duty_cycle_max_percent=dc, options=opts
                 )
+                if res.expected_frames > cap:
+                    raise analysis.UnreachableRecipientError(d, needed)
             elif isinstance(scheme, FixedSfScheme):
                 s_mean = tab.mean_frame_success(scheme.sf)
                 if s_mean <= 0.0 or needed / s_mean > cap:
@@ -322,6 +324,7 @@ def sweep_grid(spec: ExperimentSpec) -> list[SweepRow]:
     phy = spec.phy
     opts, dc = spec.analysis, spec.network.duty_cycle_max_percent
     needed = spec.firmware.code.expected_fragments()
+    cap = sim.attempts_cap(spec, spec.firmware.code)
     e_norm = analysis.normalization_energy_j(
         phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
     )
@@ -334,17 +337,23 @@ def sweep_grid(spec: ExperimentSpec) -> list[SweepRow]:
     for min_sf in spec.sweep.min_sf:
         for w in spec.sweep.frames_per_round:
             scheme = ProposedScheme(min_sf=min_sf, max_sf=base.max_sf, frames_per_round=w)
+            # averaged over the bins the design reaches, as in run_suite
             ee, dt = [], []
             for tab, cost in costs:
-                res = analysis.proposed_outcome(tab, scheme, needed, cost, options=opts)
+                try:
+                    res = analysis.proposed_outcome(tab, scheme, needed, cost, options=opts)
+                except analysis.UnreachableRecipientError:
+                    continue
+                if res.expected_frames > cap:
+                    continue
                 ee.append(res.energy_fragments_j / e_norm)
                 dt.append(res.update_time_s / 3600.0)
             rows.append(
                 SweepRow(
                     frames_per_round=int(w),
                     min_sf=int(min_sf),
-                    avg_ee_norm=float(np.mean(ee)),
-                    avg_dt_hours=float(np.mean(dt)),
+                    avg_ee_norm=float(np.mean(ee)) if ee else float("nan"),
+                    avg_dt_hours=float(np.mean(dt)) if dt else float("nan"),
                 )
             )
     return rows

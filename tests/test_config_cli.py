@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fuotacast import cli
 from fuotacast.config import (
     ConfigError,
+    default_config_dict,
     load_config,
     load_default_spec,
     spec_from_mapping,
@@ -79,6 +81,33 @@ class TestConfigRoundTrip:
             {"firmware": {"image_bytes": 10050, "fragment_payload_bytes": None}}
         )
         assert spec.firmware.fragment_payload_bytes == 51
+
+
+class TestYamlLoaders:
+    """The packaged defaults go through libyaml, user configs through the
+    pure-Python loader; both must read the same documents the same way."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            REPO_ROOT / "src" / "fuotacast" / "data" / "defaults.yaml",
+            BASELINE,
+            REPO_ROOT / "configs" / "example_full.yaml",
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_c_and_python_loaders_agree(self, path):
+        loader = getattr(yaml, "CSafeLoader", None)
+        if loader is None:
+            pytest.skip("PyYAML built without libyaml")
+        text = path.read_text()
+        fast = yaml.load(text, Loader=loader)
+        slow = yaml.safe_load(text)
+        # repr also tells 1 from 1.0 and a list from a tuple
+        assert fast == slow
+        assert repr(fast) == repr(slow)
+        if path.name == "defaults.yaml":
+            assert repr(default_config_dict()) == repr(slow)
 
 
 class TestConfigValidation:
@@ -262,6 +291,33 @@ class TestSweepAndLifetimeVerbs:
         assert lines[0] == "# fuotacast sweep v1"
         assert lines[2] == SWEEP_HEADER
         assert len(lines) == 3 + 4
+
+    @pytest.mark.parametrize("alpha", [3.5, 6.0])
+    def test_sweep_skips_unreachable_bins(self, tmp_path, alpha):
+        # at alpha 6 no design point reaches any bin: every average is empty
+        cfg = _write(
+            tmp_path,
+            "steep.yaml",
+            "name: steep\n"
+            "schemes:\n"
+            "  - {type: proposed}\n"
+            f"network: {{path_loss_exponent: {alpha}}}\n",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        body = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[3:]]
+        assert len(body) == 100
+        if alpha == 6.0:
+            assert all(row[2:] == ["", ""] for row in body)
+            return
+        # the configured design point averages the same bins as analyze
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        averages = (tmp_path / "a" / "scheme_averages.csv").read_text().splitlines()
+        proposed = averages[3].split(",")
+        assert proposed[0] == "proposed"
+        configured = next(row for row in body if row[:2] == ["300", "7"])
+        assert configured[2:] == [proposed[1], proposed[3]]
+        assert configured[2] != ""
 
     def test_lifetime_csv_schema(self, tmp_path):
         out = tmp_path / "out"
