@@ -9,23 +9,18 @@ group-based baseline, plus battery-lifetime estimation.
 from .analysis import (
     AnalysisOptions,
     AnalyticalOutcome,
-    DiscUniform,
     NumericalIntegrationError,
-    RadialGrid,
     SuccessTables,
     UnreachableRecipientError,
-    distance_average,
-    expected_energy,
-    expected_update_time,
     success_tables,
 )
-from .benchmarks import DistanceRow, SchemeSummary, evaluate_suite, run_suite
+from .benchmarks import DistanceRow, SchemeSummary, run_suite
 from .channel import InterfererField, LinkModel, interference_radius
 from .config import ConfigError, ExperimentSpec, load_config, load_default_spec
 from .fec import RatelessModel
 from .lifetime import DutyProfile, battery_lifetime_years
 from .phy import ALL_SFS, SF_MAX, SF_MIN, PhyProfile
-from .schemes import FixedSfScheme, GroupBasedScheme, NoProgressError, ProposedScheme
+from .schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme
 from .sim import ExperimentResult, run_experiment, run_session
 
 __version__ = "0.1.0"
@@ -35,7 +30,6 @@ __all__ = [
     "AnalysisOptions",
     "AnalyticalOutcome",
     "ConfigError",
-    "DiscUniform",
     "DistanceRow",
     "DutyProfile",
     "ExperimentResult",
@@ -44,11 +38,9 @@ __all__ = [
     "GroupBasedScheme",
     "InterfererField",
     "LinkModel",
-    "NoProgressError",
     "NumericalIntegrationError",
     "PhyProfile",
     "ProposedScheme",
-    "RadialGrid",
     "RatelessModel",
     "SF_MAX",
     "SF_MIN",
@@ -56,10 +48,6 @@ __all__ = [
     "SuccessTables",
     "UnreachableRecipientError",
     "battery_lifetime_years",
-    "distance_average",
-    "evaluate_suite",
-    "expected_energy",
-    "expected_update_time",
     "interference_radius",
     "load_config",
     "load_default_spec",

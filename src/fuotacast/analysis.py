@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .channel import (
     interferer_count_weights,
     mean_interferer_count,
 )
-from .fec import RatelessModel
 from .phy import ALL_SFS, SF_MAX, SF_MIN, PhyProfile, check_sf
-from .schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme
+from .schemes import ProposedScheme
 
 
 class NumericalIntegrationError(RuntimeError):
@@ -375,86 +374,6 @@ def success_tables(
     )
 
 
-def preamble_failure(
-    distance_m: float,
-    n_interferers: int,
-    sf: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    *,
-    options: Optional[AnalysisOptions] = None,
-) -> float:
-    """P(the preamble is not acquired), conditioned on the interferer count."""
-    tables = success_tables(
-        distance_m, 0, phy, link, field, options=options, counts=[n_interferers]
-    )
-    return 1.0 - float(tables.preamble_success_for(sf)[0])
-
-
-def frame_success(
-    distance_m: float,
-    n_interferers: int,
-    sf: int,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    *,
-    options: Optional[AnalysisOptions] = None,
-) -> float:
-    """P(the whole frame is received), conditioned on the interferer count."""
-    tables = success_tables(
-        distance_m, payload_bytes, phy, link, field, options=options, counts=[n_interferers]
-    )
-    return float(tables.frame_success_for(sf)[0])
-
-
-def payload_failure_given_preamble(
-    distance_m: float,
-    n_interferers: int,
-    sf: int,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    *,
-    options: Optional[AnalysisOptions] = None,
-) -> float:
-    """P(payload lost | preamble acquired), conditioned on the count."""
-    tables = success_tables(
-        distance_m, payload_bytes, phy, link, field, options=options, counts=[n_interferers]
-    )
-    s_pr = float(tables.preamble_success_for(sf)[0])
-    s_fr = float(tables.frame_success_for(sf)[0])
-    if s_pr <= 0.0:
-        raise ValueError(
-            "the preamble is never acquired at this distance;"
-            " the conditional payload failure is undefined"
-        )
-    return 1.0 - s_fr / s_pr
-
-
-def expected_round_receptions(
-    distance_m: float,
-    n_interferers: int,
-    sf: int,
-    frames_per_round: int,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    *,
-    options: Optional[AnalysisOptions] = None,
-) -> float:
-    """Expected successful receptions out of one round of frames at one SF."""
-    if frames_per_round < 1:
-        raise ValueError("frames_per_round must be at least 1")
-    return frames_per_round * frame_success(
-        distance_m, n_interferers, sf, payload_bytes, phy, link, field, options=options
-    )
-
-
 def duty_slot_s(
     phy: PhyProfile, sf: int, payload_bytes: int, duty_cycle_max_percent: float
 ) -> float:
@@ -554,51 +473,6 @@ def _proposed_profile(
     time = time_cum[block] + eta * slots[final_idx]
     rounds = np.where(block < n_blocks, scheme.min_sf + block, scheme.max_sf + 1)
     return energy, time, rounds, eta
-
-
-def completion_round(
-    distance_m: float,
-    n_interferers: int,
-    scheme: ProposedScheme,
-    needed: float,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    *,
-    options: Optional[AnalysisOptions] = None,
-) -> int:
-    """SF of the round whose expected receptions first cover ``needed``,
-    or ``max_sf + 1`` for the open-ended tail."""
-    options = options or AnalysisOptions()
-    tables = success_tables(
-        distance_m, payload_bytes, phy, link, field, options=options, counts=[n_interferers]
-    )
-    costs = ramp_costs(tables, phy, 1.0, options.energy_formula)
-    _, _, rounds, _ = _proposed_profile(tables, scheme, needed, costs, options)
-    return int(rounds[0])
-
-
-def final_round_attempts(
-    distance_m: float,
-    n_interferers: int,
-    scheme: ProposedScheme,
-    needed: float,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    *,
-    options: Optional[AnalysisOptions] = None,
-) -> float:
-    """Expected attempts spent inside the finishing round."""
-    options = options or AnalysisOptions()
-    tables = success_tables(
-        distance_m, payload_bytes, phy, link, field, options=options, counts=[n_interferers]
-    )
-    costs = ramp_costs(tables, phy, 1.0, options.energy_formula)
-    _, _, _, eta = _proposed_profile(tables, scheme, needed, costs, options)
-    return float(eta[0])
 
 
 def evaluate_proposed(
@@ -742,35 +616,6 @@ def assign_group_sf(
     return best_sf
 
 
-def group_assignment_map(
-    distances: Sequence[float],
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    needed: float,
-    criterion: str,
-    *,
-    duty_cycle_max_percent: float = 1.0,
-    options: Optional[AnalysisOptions] = None,
-    max_expected_attempts: Optional[float] = None,
-) -> dict[float, Optional[int]]:
-    """Serving SF per distinct distance; ``None`` marks unreachable distances."""
-    tables = {
-        d: success_tables(d, payload_bytes, phy, link, field, options=options)
-        for d in sorted({float(d) for d in distances})
-    }
-    return assign_groups(
-        tables,
-        needed,
-        phy,
-        criterion,
-        duty_cycle_max_percent=duty_cycle_max_percent,
-        options=options,
-        max_expected_attempts=max_expected_attempts,
-    )
-
-
 def assign_groups(
     tables: Mapping[float, SuccessTables],
     needed: float,
@@ -797,112 +642,3 @@ def assign_groups(
         except UnreachableRecipientError:
             assignment[d] = None
     return assignment
-
-
-def expected_energy(
-    distance_m: float,
-    scheme,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    code: RatelessModel,
-    *,
-    duty_cycle_max_percent: float = 1.0,
-    control_listen_s: float = 60.0,
-    ack_payload_bytes: int = 12,
-    ack_uplink_sf: int = 12,
-    options: Optional[AnalysisOptions] = None,
-) -> AnalyticalOutcome:
-    """Expected outcome of one session for a single-stream scheme."""
-    options = options or AnalysisOptions()
-    tables = success_tables(distance_m, payload_bytes, phy, link, field, options=options)
-    needed = code.expected_fragments()
-    control = control_energy_j(phy, control_listen_s, ack_payload_bytes, ack_uplink_sf)
-    if isinstance(scheme, ProposedScheme):
-        return evaluate_proposed(
-            tables,
-            scheme,
-            needed,
-            phy,
-            duty_cycle_max_percent=duty_cycle_max_percent,
-            control_energy=control,
-            options=options,
-        )
-    if isinstance(scheme, FixedSfScheme):
-        return evaluate_fixed_sf(
-            tables,
-            scheme.sf,
-            needed,
-            phy,
-            duty_cycle_max_percent=duty_cycle_max_percent,
-            control_energy=control,
-            options=options,
-        )
-    if isinstance(scheme, GroupBasedScheme):
-        raise ValueError(
-            "group-based outcomes depend on the whole recipient cohort;"
-            " use the benchmarks module"
-        )
-    raise TypeError(f"unknown scheme {scheme!r}")
-
-
-def expected_update_time(
-    distance_m: float,
-    scheme,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
-    code: RatelessModel,
-    **kwargs,
-) -> float:
-    """Expected wall-clock completion time for a single-stream scheme."""
-    return expected_energy(
-        distance_m, scheme, payload_bytes, phy, link, field, code, **kwargs
-    ).update_time_s
-
-
-@dataclass(frozen=True)
-class DiscUniform:
-    """Recipients uniform over a disc: radial density 2 d / R**2."""
-
-    radius_m: float
-    quadrature_points: int = 64
-
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.quadrature_points < 2:
-            raise ValueError("quadrature_points must be at least 2")
-
-    def average(self, metric: Callable[[float], float]) -> float:
-        x, w = np.polynomial.legendre.leggauss(self.quadrature_points)
-        half = 0.5 * self.radius_m
-        nodes = half * (x + 1.0)
-        density = 2.0 * nodes / self.radius_m**2
-        values = np.array([metric(float(d)) for d in nodes])
-        return float((half * w * density) @ values)
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Recipients placed on an explicit distance grid, one equal-weight
-    cohort per distance."""
-
-    distances_m: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.distances_m) == 0:
-            raise ValueError("the distance grid must be nonempty")
-        if any(d <= 0.0 for d in self.distances_m):
-            raise ValueError("grid distances must be positive")
-        object.__setattr__(self, "distances_m", tuple(float(d) for d in self.distances_m))
-
-    def average(self, metric: Callable[[float], float]) -> float:
-        return float(np.mean([metric(d) for d in self.distances_m]))
-
-
-def distance_average(metric: Callable[[float], float], node_distribution) -> float:
-    """Average a per-distance metric over a recipient placement model."""
-    return node_distribution.average(metric)

@@ -217,9 +217,11 @@ def run_suite(
     """Evaluate every configured scheme once; per-distance rows plus
     distance-averaged summaries.
 
-    Analysis averages run over reachable bins only; unreachable bins are
-    counted, never silently averaged. In simulation the bin average skips
-    bins with no completed recipient the same way.
+    Every average runs over the bins where each engine of the run has a
+    value: the bins the analysis reaches, those where some simulated
+    recipient completed, or in ``both`` mode the bins with both, so the
+    two engines are always averaged over the same bins. Unreachable bins
+    are counted, never silently averaged.
     """
     mode = mode or spec.mode
     if mode not in ("analysis", "simulate", "both"):
@@ -228,12 +230,18 @@ def run_suite(
     e_norm = analysis.normalization_energy_j(
         spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
     )
-    # grid-layout group-based sessions take their assignment from the same
-    # tables as the closed forms
-    grid_groups = spec.layout.kind == "grid" and any(
+    # group-based sessions take their SFs from the grid tables the closed
+    # forms use; a disc layout's recipients take those of the nearest of
+    # 256 evenly spaced distances out to the cell edge
+    grouped = mode != "analysis" and any(
         isinstance(s, GroupBasedScheme) for s in spec.schemes
     )
-    tables = build_tables(spec, grid) if mode != "simulate" or grid_groups else None
+    on_grid = spec.layout.kind == "grid"
+    tables = build_tables(spec, grid) if mode != "simulate" or (grouped and on_grid) else None
+    assignment_tables = tables
+    if grouped and not on_grid:
+        radius = spec.network.cell_radius_m
+        assignment_tables = build_tables(spec, [radius * (j + 1) / 256 for j in range(256)])
 
     rows: list[DistanceRow] = []
     summaries: list[SchemeSummary] = []
@@ -242,8 +250,8 @@ def run_suite(
         res = None
         if mode != "analysis":
             assignment = None
-            if grid_groups and isinstance(scheme, GroupBasedScheme):
-                assignment = _group_assignment(tables, spec, scheme)
+            if isinstance(scheme, GroupBasedScheme):
+                assignment = _group_assignment(assignment_tables, spec, scheme)
             res = sim.run_experiment(
                 spec, scheme, runs=runs, seed=seed, code=scheme_code(spec, scheme),
                 group_assignment=assignment,
@@ -273,44 +281,22 @@ def run_suite(
         rows.extend(mine)
 
         kw = {"unreachable_bins": sum(not r.reachable for r in mine)}
-        if ana is not None:
-            ee = [r.ee_norm_analysis for r in mine if r.reachable]
-            dt = [r.dt_hours_analysis for r in mine if r.reachable]
-            kw.update(
-                avg_ee_norm_analysis=float(np.mean(ee)) if ee else float("nan"),
-                avg_dt_hours_analysis=float(np.mean(dt)) if dt else float("nan"),
-            )
+        engines = [tag for tag, ran in (("analysis", ana), ("sim", res)) if ran is not None]
+        shared = [
+            r for r in mine
+            if not any(math.isnan(getattr(r, f"ee_norm_{tag}")) for tag in engines)
+        ]
+        for tag in engines:
+            for metric in ("ee_norm", "dt_hours"):
+                values = [getattr(r, f"{metric}_{tag}") for r in shared]
+                kw[f"avg_{metric}_{tag}"] = float(np.mean(values)) if values else float("nan")
         if res is not None:
             kw.update(
-                avg_ee_norm_sim=res.avg_ee_norm,
-                avg_dt_hours_sim=res.avg_dt_hours,
                 incomplete_sessions=res.incomplete_sessions,
                 unfinished_recipients=res.unfinished_recipients,
             )
         summaries.append(SchemeSummary(scheme=scheme.label, **kw))
     return rows, summaries
-
-
-def distance_rows(
-    spec: ExperimentSpec,
-    mode: Optional[str] = None,
-    *,
-    runs: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> list[DistanceRow]:
-    """One row per (distance bin, scheme) with the requested metric columns."""
-    return run_suite(spec, mode, runs=runs, seed=seed)[0]
-
-
-def evaluate_suite(
-    spec: ExperimentSpec,
-    mode: Optional[str] = None,
-    *,
-    runs: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> list[SchemeSummary]:
-    """Distance-averaged EE and DT, one row per scheme."""
-    return run_suite(spec, mode, runs=runs, seed=seed)[1]
 
 
 def sweep_grid(spec: ExperimentSpec) -> list[SweepRow]:
@@ -375,7 +361,7 @@ def density_sweep(
                 ),
             ),
         )
-        for summary in evaluate_suite(dense, "analysis"):
+        for summary in run_suite(dense, "analysis")[1]:
             rows.append(
                 DensityRow(
                     intensity_per_m2=float(lam),
@@ -400,24 +386,9 @@ def _location_energy_sim(
     code = scheme_code(spec, scheme)
     assignment = None
     if isinstance(scheme, GroupBasedScheme):
-        tab = analysis.success_tables(
-            distance_m,
-            spec.firmware.fragment_payload_bytes,
-            spec.phy,
-            spec.network.link,
-            spec.network.interferers,
-            options=spec.analysis,
-        )
-        sf = analysis.assign_group_sf(
-            tab,
-            code.expected_fragments(),
-            spec.phy,
-            scheme.criterion,
-            duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-            options=spec.analysis,
-            max_expected_attempts=sim.attempts_cap(spec, code),
-        )
-        assignment = {distance_m: sf}
+        assignment = _group_assignment(build_tables(spec, [distance_m]), spec, scheme)
+        if assignment[distance_m] is None:
+            raise analysis.UnreachableRecipientError(distance_m, code.expected_fragments())
     distances = np.full(spec.layout.recipients, distance_m)
     energies = []
     children = np.random.SeedSequence(seed).spawn(runs)

@@ -102,11 +102,6 @@ def _write_csv(path: Path, schema: str, columns, rows, fingerprint: str, seed) -
     path.write_text(buf.getvalue())
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    (out_dir / "manifest.json").write_text(text)
-
-
 def _read_csv(path: Path) -> tuple[str, list[dict]]:
     """Parse one of our CSVs; returns (schema line, rows as string dicts)."""
     lines = path.read_text().splitlines()
@@ -138,6 +133,29 @@ def _out_dir(args, spec: ExperimentSpec) -> Path:
     return out
 
 
+def _write_outputs(args, spec: ExperimentSpec, out: Path, command: str, mode: str,
+                   csvs) -> None:
+    """Write each ``(schema, columns, rows)`` of ``csvs`` to ``<schema>.csv``
+    in ``out``, then the manifest that lists them."""
+    fp = spec.fingerprint()
+    for schema, columns, rows in csvs:
+        _write_csv(out / f"{schema}.csv", schema, columns, rows, fp, spec.seed)
+    runs = getattr(args, "runs", None)
+    manifest = {
+        "command": command,
+        "config": str(args.config),
+        "config_fingerprint": fp,
+        "mode": mode,
+        "name": spec.name,
+        "outputs": [f"{schema}.csv" for schema, _, _ in csvs],
+        "runs": 0 if mode == "analysis" else (runs if runs is not None else spec.sim.runs),
+        "schema_version": SCHEMA_VERSION,
+        "seed": spec.seed,
+    }
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    (out / "manifest.json").write_text(text)
+
+
 def _run_suite_verb(args, mode: Optional[str]) -> int:
     from . import benchmarks
 
@@ -145,26 +163,14 @@ def _run_suite_verb(args, mode: Optional[str]) -> int:
     if mode is None:
         mode = spec.mode
     out = _out_dir(args, spec)
-    runs = getattr(args, "runs", None)
-    if mode == "analysis":
-        runs_used = 0
-    else:
-        runs_used = runs if runs is not None else spec.sim.runs
-    rows, summaries = benchmarks.run_suite(spec, mode, runs=runs, seed=spec.seed)
-    fp = spec.fingerprint()
-    _write_csv(out / "distance_curves.csv", "distance_curves", DISTANCE_COLUMNS, rows, fp, spec.seed)
-    _write_csv(out / "scheme_averages.csv", "scheme_averages", AVERAGE_COLUMNS, summaries, fp, spec.seed)
-    _write_manifest(out, {
-        "command": "analyze" if mode == "analysis" else "simulate",
-        "config": str(args.config),
-        "config_fingerprint": fp,
-        "mode": mode,
-        "name": spec.name,
-        "outputs": ["distance_curves.csv", "scheme_averages.csv"],
-        "runs": runs_used,
-        "schema_version": SCHEMA_VERSION,
-        "seed": spec.seed,
-    })
+    rows, summaries = benchmarks.run_suite(
+        spec, mode, runs=getattr(args, "runs", None), seed=spec.seed
+    )
+    command = "analyze" if mode == "analysis" else "simulate"
+    _write_outputs(args, spec, out, command, mode, [
+        ("distance_curves", DISTANCE_COLUMNS, rows),
+        ("scheme_averages", AVERAGE_COLUMNS, summaries),
+    ])
     incomplete = sum(s.incomplete_sessions for s in summaries) + sum(
         s.unfinished_recipients for s in summaries
     )
@@ -193,19 +199,7 @@ def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args, spec)
     rows = benchmarks.sweep_grid(spec)
-    fp = spec.fingerprint()
-    _write_csv(out / "sweep.csv", "sweep", SWEEP_COLUMNS, rows, fp, spec.seed)
-    _write_manifest(out, {
-        "command": "sweep",
-        "config": str(args.config),
-        "config_fingerprint": fp,
-        "mode": "analysis",
-        "name": spec.name,
-        "outputs": ["sweep.csv"],
-        "runs": 0,
-        "schema_version": SCHEMA_VERSION,
-        "seed": spec.seed,
-    })
+    _write_outputs(args, spec, out, "sweep", "analysis", [("sweep", SWEEP_COLUMNS, rows)])
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} grid points)")
     return 0
 
@@ -216,21 +210,8 @@ def _cmd_lifetime(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args, spec)
     mode = args.mode or "analysis"
-    runs = getattr(args, "runs", None)
-    rows = benchmarks.lifetime_rows(spec, mode, runs=runs, seed=spec.seed)
-    fp = spec.fingerprint()
-    _write_csv(out / "lifetime.csv", "lifetime", LIFETIME_COLUMNS, rows, fp, spec.seed)
-    _write_manifest(out, {
-        "command": "lifetime",
-        "config": str(args.config),
-        "config_fingerprint": fp,
-        "mode": mode,
-        "name": spec.name,
-        "outputs": ["lifetime.csv"],
-        "runs": 0 if mode == "analysis" else (runs if runs is not None else spec.sim.runs),
-        "schema_version": SCHEMA_VERSION,
-        "seed": spec.seed,
-    })
+    rows = benchmarks.lifetime_rows(spec, mode, runs=args.runs, seed=spec.seed)
+    _write_outputs(args, spec, out, "lifetime", mode, [("lifetime", LIFETIME_COLUMNS, rows)])
     if mode == "sim" and any(r.reachable and math.isnan(r.lifetime_years) for r in rows):
         print("warning: some locations produced no completed recipients", file=sys.stderr)
         return 4

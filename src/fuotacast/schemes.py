@@ -1,20 +1,17 @@
 """Transmission policies.
 
-Which spreading factor the gateway uses for the t-th multicast frame, and
-how a session advances or stops, for the sequential-SF ramp policy, the
-fixed-SF baselines, and the group-based baseline.
+The sequential-SF ramp policy, the fixed-SF baselines and the group-based
+baseline, and :func:`session_plan`, the one place that turns a scheme into
+frames: the ordered streams of a session, each a list of (SF, frame
+budget) segments. The simulator serves that plan segment by segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .phy import check_sf
-
-
-class NoProgressError(RuntimeError):
-    """A stream hit its transmission cap with recipients still unfinished."""
 
 
 @dataclass(frozen=True)
@@ -38,11 +35,6 @@ class ProposedScheme:
     def label(self) -> str:
         return "proposed"
 
-    def sf_for_transmission(self, t: int) -> int:
-        if t < 1:
-            raise ValueError("frame index is 1-based")
-        return min(self.min_sf + (t - 1) // self.frames_per_round, self.max_sf)
-
 
 @dataclass(frozen=True)
 class FixedSfScheme:
@@ -56,11 +48,6 @@ class FixedSfScheme:
     @property
     def label(self) -> str:
         return f"fsf-{self.sf}"
-
-    def sf_for_transmission(self, t: int) -> int:
-        if t < 1:
-            raise ValueError("frame index is 1-based")
-        return self.sf
 
 
 @dataclass(frozen=True)
@@ -81,79 +68,40 @@ class GroupBasedScheme:
 
 Scheme = Union[ProposedScheme, FixedSfScheme, GroupBasedScheme]
 
+# (sf, frame budget) of one segment, and (serving group SF or None, segments)
+# of one stream
+Segment = tuple[int, int]
+Stream = tuple[Optional[int], list[Segment]]
 
-def session_schedule(
-    scheme: Scheme,
-    is_complete: Callable[[Optional[int]], bool],
-    cap_per_stream: int,
-    groups: Optional[Iterable[int]] = None,
-) -> Iterator[tuple[int, int, Optional[int]]]:
-    """Yield ``(frame_index, sf, group_sf)`` until completion feedback stops
-    each stream.
 
-    ``is_complete`` is the genie-aided feedback: queried with ``None`` for
-    the single-stream schemes and with the group's SF for the group-based
-    scheme. Frame indices are global and 1-based. A stream that reaches
-    ``cap_per_stream`` frames without completing raises
-    :class:`NoProgressError`; for the group-based scheme remaining groups
-    are not served once one stalls.
+def session_plan(
+    scheme: Scheme, cap: int, group_sfs: Optional[Iterable[int]] = None
+) -> list[Stream]:
+    """The ordered streams of one session.
+
+    The ramp is one stream: ``frames_per_round`` frames at each SF from
+    ``min_sf`` up, then what is left of ``cap`` at ``max_sf``. The budgets
+    are cut at the cap, so when ``cap`` is short of the nominal rounds the
+    later SFs get zero frames. A fixed SF is one stream of ``cap`` frames.
+    The group-based scheme serves one stream per group SF in ascending
+    order, each with its own ``cap``; a group that exhausts its cap does
+    not stop the later groups. A segment ends at its budget or when every
+    recipient of its stream has completed (instant completion feedback),
+    and the next segment starts there.
     """
-    if cap_per_stream < 1:
-        raise ValueError("cap_per_stream must be at least 1")
-    t = 0
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    if isinstance(scheme, ProposedScheme):
+        segments, left = [], cap
+        for sf in range(scheme.min_sf, scheme.max_sf):
+            budget = min(scheme.frames_per_round, left)
+            segments.append((sf, budget))
+            left -= budget
+        return [(None, segments + [(scheme.max_sf, left)])]
+    if isinstance(scheme, FixedSfScheme):
+        return [(None, [(scheme.sf, cap)])]
     if isinstance(scheme, GroupBasedScheme):
-        if groups is None:
-            raise ValueError("group-based scheduling needs the SF group assignment")
-        for group_sf in sorted({check_sf(sf) for sf in groups}):
-            sent = 0
-            while not is_complete(group_sf):
-                if sent >= cap_per_stream:
-                    raise NoProgressError(
-                        f"group at SF{group_sf} shows no progress after {sent} frames"
-                    )
-                t += 1
-                sent += 1
-                yield t, group_sf, group_sf
-    else:
-        sent = 0
-        while not is_complete(None):
-            if sent >= cap_per_stream:
-                raise NoProgressError(f"session shows no progress after {sent} frames")
-            t += 1
-            sent += 1
-            yield t, scheme.sf_for_transmission(t), None
-
-
-def assign_group_energy(
-    distance_m: float,
-    phy,
-    link,
-    field,
-    fragments: float,
-    payload_bytes: int,
-    **kwargs,
-) -> int:
-    """SF minimizing the expected listening energy to collect ``fragments``
-    at this distance. Keyword arguments pass through to
-    :func:`fuotacast.analysis.assign_group_sf`."""
-    from . import analysis
-
-    tables = analysis.success_tables(distance_m, payload_bytes, phy, link, field)
-    return analysis.assign_group_sf(tables, fragments, phy, "energy", **kwargs)
-
-
-def assign_group_latency(
-    distance_m: float,
-    phy,
-    link,
-    field,
-    fragments: float,
-    payload_bytes: int,
-    **kwargs,
-) -> int:
-    """SF minimizing the expected duty-cycled service time to collect
-    ``fragments`` at this distance."""
-    from . import analysis
-
-    tables = analysis.success_tables(distance_m, payload_bytes, phy, link, field)
-    return analysis.assign_group_sf(tables, fragments, phy, "latency", **kwargs)
+        if group_sfs is None:
+            raise ValueError("a group-based plan needs the SFs of its groups")
+        return [(sf, [(sf, cap)]) for sf in sorted({check_sf(sf) for sf in group_sfs})]
+    raise TypeError(f"unknown scheme {scheme!r}")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,8 +47,8 @@ from . import analysis
 from .channel import InterfererField, LinkModel, interference_radius, mean_interferer_count
 from .config import ExperimentSpec
 from .fec import RatelessModel
-from .phy import ALL_SFS, SF_MIN, PhyProfile, check_sf
-from .schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme, Scheme
+from .phy import ALL_SFS, SF_MIN, PhyProfile
+from .schemes import Scheme, session_plan
 
 
 @dataclass(frozen=True)
@@ -122,47 +122,8 @@ class ExperimentResult:
     ee_norm_stderr: tuple[float, ...]
     dt_hours_mean: tuple[float, ...]
     dt_hours_stderr: tuple[float, ...]
-    avg_ee_norm: float
-    avg_dt_hours: float
     incomplete_sessions: int
     unfinished_recipients: int
-
-
-def collision_outcome(
-    desired_power_w: float,
-    desired_sf: int,
-    interferer_frames: Sequence[tuple[float, int]],
-    phy: PhyProfile,
-) -> str:
-    """Capture verdict for one desired frame against concurrent frames.
-
-    ``interferer_frames`` holds (received power, sf) pairs. The desired
-    frame is lost as soon as any one of them pushes it under the capture
-    threshold.
-    """
-    s = check_sf(desired_sf)
-    for power, j in interferer_frames:
-        if desired_power_w < phy.capture_ratio(s, j) * power:
-            return "lost"
-    return "survive"
-
-
-def stream_timeline(
-    sf_sequence: Sequence[int],
-    phy: PhyProfile,
-    payload_bytes: int,
-    duty_cycle_max_percent: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slot-end times and cumulative airtime of a frame stream.
-
-    Frames transmit at the end of their duty slot, so the airtime budget
-    holds at every prefix: cumulative airtime / elapsed <= duty cycle.
-    """
-    slots = np.array(
-        [analysis.duty_slot_s(phy, s, payload_bytes, duty_cycle_max_percent) for s in sf_sequence]
-    )
-    airtimes = np.array([phy.frame_airtime(s, payload_bytes) for s in sf_sequence])
-    return np.cumsum(slots), np.cumsum(airtimes)
 
 
 class _SfTables:
@@ -381,10 +342,13 @@ def run_session(
     code: Optional[RatelessModel] = None,
     tables: Optional[_SfTables] = None,
 ) -> SessionResult:
-    """Simulate one complete firmware session.
+    """Simulate one complete firmware session, serving the segments of the
+    scheme's :func:`~fuotacast.schemes.session_plan` in order.
 
-    ``tables`` may carry the per-SF constants of ``spec`` when many sessions
-    share them.
+    A group-based scheme needs ``group_assignment``, the serving SF per
+    distance (``None`` where unreachable); each recipient joins the group
+    of its nearest key. ``tables`` may carry the per-SF constants of
+    ``spec`` when many sessions share them.
     """
     phy, net = spec.phy, spec.network
     link, fld = net.link, net.interferers
@@ -420,45 +384,21 @@ def run_session(
     chunk = spec.sim.chunk_frames
     transmissions = 0
     elapsed = 0.0
-    incomplete = False
-    member_sf = np.full(n, np.nan)
-
-    if isinstance(scheme, GroupBasedScheme):
-        if group_assignment is None:
-            raise ValueError("group-based simulation needs a precomputed SF assignment")
+    group_sfs = member_sf = None
+    if group_assignment:
+        group_sfs = [sf for sf in group_assignment.values() if sf is not None]
         member_sf = _lookup_assignment(group_assignment, distances)
-        for sf in np.unique(member_sf[~np.isnan(member_sf)]).astype(int):
-            group = np.flatnonzero(member_sf == sf)
-            sent, left = _serve_segment(rng, state, tables, sf, cap, group, elapsed, chunk)
-            transmissions += sent
-            elapsed += sent * tables.slot_s[sf - SF_MIN]
-            if left.size > 0:
-                incomplete = True
-        if np.isnan(member_sf).any():
-            incomplete = True
-    elif isinstance(scheme, FixedSfScheme):
-        active = np.arange(n)
-        sent, left = _serve_segment(rng, state, tables, scheme.sf, cap, active, elapsed, chunk)
-        transmissions += sent
-        elapsed += sent * tables.slot_s[scheme.sf - SF_MIN]
-        if left.size > 0:
-            incomplete = True
-    elif isinstance(scheme, ProposedScheme):
-        active = np.arange(n)
-        for sf in range(scheme.min_sf, scheme.max_sf + 1):
-            if active.size == 0 or transmissions >= cap:
-                break
-            if sf < scheme.max_sf:
-                budget = min(scheme.frames_per_round, cap - transmissions)
-            else:
-                budget = cap - transmissions
+    assigned_sf = np.full(n, np.nan)
+    for group_sf, segments in session_plan(scheme, cap, group_sfs):
+        if group_sf is None:
+            active = np.arange(n)
+        else:
+            active = np.flatnonzero(member_sf == group_sf)
+            assigned_sf[active] = group_sf
+        for sf, budget in segments:
             sent, active = _serve_segment(rng, state, tables, sf, budget, active, elapsed, chunk)
             transmissions += sent
             elapsed += sent * tables.slot_s[sf - SF_MIN]
-        if active.size > 0:
-            incomplete = True
-    else:
-        raise TypeError(f"unknown scheme {scheme!r}")
 
     return SessionResult(
         distances=distances,
@@ -474,10 +414,10 @@ def run_session(
         ),
         attempts_full=state.full_listens.sum(axis=1),
         attempts_preamble_only=state.preamble_listens.sum(axis=1),
-        assigned_sf=member_sf,
+        assigned_sf=assigned_sf,
         transmissions=transmissions,
         duration_s=elapsed,
-        incomplete=incomplete,
+        incomplete=not state.completed.all(),
     )
 
 
@@ -494,28 +434,6 @@ def _lookup_assignment(
     return sfs[np.where(lower, left, right)]
 
 
-def _group_assignment_for(
-    spec: ExperimentSpec, scheme: GroupBasedScheme, code: RatelessModel
-) -> dict[float, Optional[int]]:
-    if spec.layout.kind == "grid":
-        lattice: Sequence[float] = spec.grid_distances()
-    else:
-        radius = spec.network.cell_radius_m
-        lattice = tuple(radius * (j + 1) / 256 for j in range(256))
-    return analysis.group_assignment_map(
-        lattice,
-        spec.firmware.fragment_payload_bytes,
-        spec.phy,
-        spec.network.link,
-        spec.network.interferers,
-        code.expected_fragments(),
-        scheme.criterion,
-        duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-        options=spec.analysis,
-        max_expected_attempts=attempts_cap(spec, code),
-    )
-
-
 def run_experiment(
     spec: ExperimentSpec,
     scheme: Scheme,
@@ -527,17 +445,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Repeat sessions with independent seeds and reduce to binned metrics.
 
-    A group-based scheme uses ``group_assignment`` when given, else the
-    assignment is derived from fresh success tables.
+    A group-based scheme needs ``group_assignment``, as in :func:`run_session`.
     """
     runs = runs if runs is not None else spec.sim.runs
     seed = seed if seed is not None else spec.seed
     code = code or spec.firmware.code
     if runs < 1:
         raise ValueError("runs must be at least 1")
-
-    if isinstance(scheme, GroupBasedScheme) and group_assignment is None:
-        group_assignment = _group_assignment_for(spec, scheme, code)
 
     bins = np.array(spec.grid_distances())
     edges = np.linspace(0.0, spec.network.cell_radius_m, bins.size + 1)
@@ -597,8 +511,6 @@ def run_experiment(
         ee_norm_stderr=tuple(float(x) for x in ee_err),
         dt_hours_mean=tuple(float(x) for x in dt_mean),
         dt_hours_stderr=tuple(float(x) for x in dt_err),
-        avg_ee_norm=float(np.nanmean(ee_mean)) if not np.all(np.isnan(ee_mean)) else float("nan"),
-        avg_dt_hours=float(np.nanmean(dt_mean)) if not np.all(np.isnan(dt_mean)) else float("nan"),
         incomplete_sessions=incomplete_sessions,
         unfinished_recipients=unfinished,
     )

@@ -142,7 +142,8 @@ class TestInterferenceFreeLimits:
                 )
                 expect = 1.0 - math.exp(-threshold)
                 for n in (0, 1, 5, 25, 200):
-                    got = analysis.preamble_failure(d, n, sf, phy, link, quiet)
+                    tab = analysis.success_tables(d, 50, phy, link, quiet, counts=[n])
+                    got = 1.0 - float(tab.preamble_success_for(sf)[0])
                     worst = max(worst, abs(got - expect))
         ok = worst <= 1e-9
         _verdict(
@@ -465,8 +466,10 @@ class TestPropertyGates:
             for o in res.outcomes
         )
 
+        # frames go out at the end of their duty slots
         stream = [7, 7, 8, 9, 12, 10, 11, 7, 12, 8] * 5
-        ends, air = sim.stream_timeline(stream, phy, payload, 1.0)
+        ends = np.cumsum([analysis.duty_slot_s(phy, s, payload, 1.0) for s in stream])
+        air = np.cumsum([phy.frame_airtime(s, payload) for s in stream])
         duty_ok = bool(np.all(air / ends <= 0.01 + 1e-12))
 
         ok = partition and energy_ok and duty_ok

@@ -63,9 +63,11 @@ MC_SEEDS = {
 
 
 def _survival(d0, n, sf, segment, phy, link, field):
+    """Pointwise survival probability at one interferer count."""
+    tab = analysis.success_tables(d0, PAYLOAD, phy, link, field, counts=[n])
     if segment == "preamble":
-        return 1.0 - analysis.preamble_failure(d0, n, sf, phy, link, field)
-    return analysis.frame_success(d0, n, sf, PAYLOAD, phy, link, field)
+        return float(tab.preamble_success_for(sf)[0])
+    return float(tab.frame_success_for(sf)[0])
 
 
 class TestSurvivalOracles:
@@ -270,7 +272,7 @@ class TestDegenerateCases:
                 c = link.outage_threshold(phy.sensitivity_w(sf), d0)
                 want = 1.0 - math.exp(-c)
                 for n in (0, 4, 60):
-                    got = analysis.preamble_failure(d0, n, sf, phy, link, quiet)
+                    got = 1.0 - _survival(d0, n, sf, "preamble", phy, link, quiet)
                     assert got == pytest.approx(want, abs=1e-9)
 
     def test_zero_intensity_strong_link_energy_exact(self):
@@ -314,13 +316,16 @@ class TestSuccessTables:
             analysis.success_tables(-5.0, PAYLOAD, phy, link, field)
 
     def test_row_matches_pointwise_wrappers(self, phy, link, field):
-        tab = analysis.success_tables(600.0, PAYLOAD, phy, link, field, counts=[5])
-        assert float(tab.preamble_success_for(9)[0]) == pytest.approx(
-            1.0 - analysis.preamble_failure(600.0, 5, 9, phy, link, field), rel=1e-12
-        )
-        assert float(tab.frame_success_for(9)[0]) == pytest.approx(
-            analysis.frame_success(600.0, 5, 9, PAYLOAD, phy, link, field), rel=1e-12
-        )
+        # each column of a multi-count table against a one-count table
+        tab = analysis.success_tables(600.0, PAYLOAD, phy, link, field, counts=[0, 5, 9])
+        for sf in range(7, 13):
+            for col, n in enumerate((0, 5, 9)):
+                assert float(tab.preamble_success_for(sf)[col]) == pytest.approx(
+                    _survival(600.0, n, sf, "preamble", phy, link, field), rel=1e-12
+                )
+                assert float(tab.frame_success_for(sf)[col]) == pytest.approx(
+                    _survival(600.0, n, sf, "frame", phy, link, field), rel=1e-12
+                )
 
     def test_partition_ordering(self, phy, link, field):
         tab = analysis.success_tables(800.0, PAYLOAD, phy, link, field)
@@ -363,18 +368,32 @@ class TestSuccessTables:
             assert np.allclose(got, want, rtol=1e-14)
 
     def test_payload_failure_given_preamble_requires_detection(self, phy, link, field):
-        # distance so large the detection probability underflows to zero
-        with pytest.raises(ValueError):
-            analysis.payload_failure_given_preamble(1e9, 0, 7, PAYLOAD, phy, link, field)
+        # distance so large the detection probability underflows to zero: the
+        # payload failure given the preamble is undefined, so the printed
+        # energy form charges preamble-only listens
+        tab = analysis.success_tables(1e9, PAYLOAD, phy, link, field, counts=[0])
+        assert float(tab.preamble_success_for(7)[0]) == 0.0
+        got = tab.attempt_energy_by_count(7, phy, "as_printed")
+        assert list(got) == [phy.rx_energy_preamble(7)]
 
     def test_expected_round_receptions_is_linear(self, phy, link, field):
-        s = analysis.frame_success(500.0, 3, 9, PAYLOAD, phy, link, field)
-        got = analysis.expected_round_receptions(
-            500.0, 3, 9, 300, PAYLOAD, phy, link, field
-        )
-        assert got == pytest.approx(300.0 * s, rel=1e-12)
+        # a round of w frames at one SF is expected to hold w * S receptions,
+        # so a need just under that finishes inside the round, and one just
+        # over spills into the next
+        tab = analysis.success_tables(500.0, PAYLOAD, phy, link, field, counts=[3])
+        s = float(tab.frame_success_for(9)[0])
+        scheme = ProposedScheme(9, 12, 300)
+        for scale, round_sf in ((1.0 - 1e-9, 9), (1.0 + 1e-9, 10)):
+            assert _profile(tab, scheme, 300.0 * s * scale, phy)[2][0] == round_sf
         with pytest.raises(ValueError):
-            analysis.expected_round_receptions(500.0, 3, 9, 0, PAYLOAD, phy, link, field)
+            ProposedScheme(9, 12, 0)
+
+
+def _profile(tab, scheme, needed, phy):
+    """Per-count (energy, time, finishing round, final-round attempts) of
+    the ramp at the default options."""
+    costs = analysis.ramp_costs(tab, phy, 1.0, "partitioned")
+    return analysis._proposed_profile(tab, scheme, needed, costs, AnalysisOptions())
 
 
 def _reference_ramp(tab, scheme, needed, phy, dc=1.0):
@@ -435,18 +454,14 @@ class TestProposedClosedForm:
         assert e_ab == pytest.approx(0.5 * (e_a + e_b), rel=1e-12)
 
     def test_completion_round_wrappers(self, phy, link, field):
+        # the finishing round of the per-count profile, through _profile
+        tab = analysis.success_tables(300.0, PAYLOAD, phy, link, field, counts=[0])
         big_w = ProposedScheme(7, 12, 100_000)
-        assert (
-            analysis.completion_round(300.0, 0, big_w, 202.0, PAYLOAD, phy, link, field)
-            == 7
-        )
+        assert _profile(tab, big_w, 202.0, phy)[2][0] == 7
         # one frame per round cannot cover the need inside the nominal
         # rounds, so completion lands in the open-ended tail
         tiny_w = ProposedScheme(7, 12, 1)
-        assert (
-            analysis.completion_round(300.0, 0, tiny_w, 202.0, PAYLOAD, phy, link, field)
-            == 13
-        )
+        assert _profile(tab, tiny_w, 202.0, phy)[2][0] == 13
 
     def test_final_round_attempts_hand_case(self, phy, link, field):
         tab = analysis.success_tables(300.0, PAYLOAD, phy, link, field, counts=[0])
@@ -457,9 +472,7 @@ class TestProposedClosedForm:
         assert w * s7 < needed < w * (s7 + s8)
         scheme = ProposedScheme(7, 12, w)
         want = (needed - w * s7) / s8
-        got = analysis.final_round_attempts(
-            300.0, 0, scheme, needed, PAYLOAD, phy, link, field
-        )
+        got = float(_profile(tab, scheme, needed, phy)[3][0])
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_unreachable_recipient_raises(self, phy, link, field):
@@ -560,9 +573,11 @@ class TestGroupAssignment:
             )
 
     def test_assignment_map_marks_unreachable(self, phy, link, field):
-        mapping = analysis.group_assignment_map(
-            [300.0, 80_000.0], PAYLOAD, phy, link, field, 202.0, "energy"
-        )
+        tables = {
+            d: analysis.success_tables(d, PAYLOAD, phy, link, field)
+            for d in (300.0, 80_000.0)
+        }
+        mapping = analysis.assign_groups(tables, 202.0, phy, "energy")
         assert mapping[300.0] is not None
         assert mapping[80_000.0] is None
 
@@ -593,30 +608,6 @@ class TestSessionConstants:
         got = analysis.normalization_energy_j(phy, 200, PAYLOAD)
         assert got == pytest.approx(200 * phy.rx_power_w * 0.097536, rel=1e-12)
         assert got == pytest.approx(2.44620288, rel=1e-12)
-
-
-class TestDistanceAveraging:
-    def test_disc_uniform_mean_distance(self):
-        dist = analysis.DiscUniform(900.0)
-        assert analysis.distance_average(lambda d: d, dist) == pytest.approx(
-            2.0 * 900.0 / 3.0, rel=1e-9
-        )
-
-    def test_disc_uniform_second_moment(self):
-        dist = analysis.DiscUniform(900.0)
-        assert analysis.distance_average(lambda d: d * d, dist) == pytest.approx(
-            900.0 ** 2 / 2.0, rel=1e-9
-        )
-
-    def test_radial_grid_equal_weight(self):
-        grid = analysis.RadialGrid([100.0, 200.0, 300.0])
-        assert analysis.distance_average(lambda d: d, grid) == pytest.approx(200.0)
-
-    def test_rejects_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            analysis.DiscUniform(0.0)
-        with pytest.raises(ValueError):
-            analysis.RadialGrid([])
 
 
 class TestOptionsValidation:

@@ -82,9 +82,29 @@ class TestSuiteStructure:
             )
 
     def test_wrappers_split_run_suite(self, spec, suite):
-        rows, summaries = suite
-        assert benchmarks.distance_rows(spec, "analysis") == rows
-        assert benchmarks.evaluate_suite(spec, "analysis") == summaries
+        # the density sweep at the configured density is the suite's summary
+        _, summaries = suite
+        lam = spec.network.interferers.intensity_per_m2
+        rows = benchmarks.density_sweep(spec, [lam])
+        assert [(r.scheme, r.avg_ee_norm, r.avg_dt_hours) for r in rows] == [
+            (s.scheme, s.avg_ee_norm_analysis, s.avg_dt_hours_analysis) for s in summaries
+        ]
+
+    def test_engines_average_over_the_same_bins(self):
+        # at path-loss exponent 3.5 the analysis reaches only the 100 m bin
+        # for fsf-12, while some simulated recipients at 200 m complete
+        spec = load_default_spec({
+            "network": {"path_loss_exponent": 3.5},
+            "schemes": [{"type": "fixed_sf", "sf": 12}],
+            "layout": {"recipients": 20},
+        })
+        rows, [summary] = benchmarks.run_suite(spec, "both", runs=2, seed=20240)
+        near, second = rows[0], rows[1]
+        assert near.reachable and not second.reachable
+        assert not math.isnan(second.ee_norm_sim)
+        assert summary.avg_ee_norm_sim == near.ee_norm_sim
+        assert summary.avg_dt_hours_sim == near.dt_hours_sim
+        assert summary.avg_ee_norm_analysis == near.ee_norm_analysis
 
     def test_mode_validation(self, spec):
         with pytest.raises(ValueError):
@@ -415,11 +435,55 @@ class TestSimulationSuite:
         benchmarks.run_suite(spec, mode, runs=1, seed=3)
         assert sorted(built) == list(spec.grid_distances())
 
-    def test_grid_assignment_matches_the_lattice_path(self, spec):
-        tables = benchmarks.build_tables(spec)
-        for criterion in ("energy", "latency"):
-            scheme = GroupBasedScheme(criterion)
+    def test_disc_group_sfs_come_from_one_lattice_per_suite(self, monkeypatch):
+        spec = load_default_spec({
+            "schemes": [
+                {"type": "group_based", "criterion": "energy"},
+                {"type": "group_based", "criterion": "latency"},
+            ],
+            "layout": {"kind": "disc", "recipients": 30},
+            "analysis": {"quadrature_rtol": 5e-3},
+        })
+        built = []
+        real = analysis.success_tables
+
+        def counting(distance_m, *args, **kwargs):
+            built.append(distance_m)
+            return real(distance_m, *args, **kwargs)
+
+        sessions = []
+        real_session = sim.run_session
+
+        def recording(spec_, scheme, *args, **kwargs):
+            res = real_session(spec_, scheme, *args, **kwargs)
+            sessions.append((scheme, res))
+            return res
+
+        monkeypatch.setattr(analysis, "success_tables", counting)
+        monkeypatch.setattr(sim, "run_session", recording)
+        benchmarks.run_suite(spec, "simulate", runs=1, seed=3)
+        radius = spec.network.cell_radius_m
+        lattice = np.array([radius * (j + 1) / 256 for j in range(256)])
+        assert sorted(built) == list(lattice)
+        assert len(sessions) == 2
+
+        monkeypatch.setattr(analysis, "success_tables", real)
+        for scheme, res in sessions:
             code = benchmarks.scheme_code(spec, scheme)
-            assert benchmarks._group_assignment(tables, spec, scheme) == (
-                sim._group_assignment_for(spec, scheme, code)
-            )
+            for o in res.outcomes:
+                # the nearest lattice point, ties to the lower one
+                d = float(lattice[np.argmin(np.abs(lattice - o.distance_m))])
+                tab = real(
+                    d, spec.firmware.fragment_payload_bytes, spec.phy,
+                    spec.network.link, spec.network.interferers, options=spec.analysis,
+                )
+                try:
+                    want = analysis.assign_group_sf(
+                        tab, code.expected_fragments(), spec.phy, scheme.criterion,
+                        duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
+                        options=spec.analysis,
+                        max_expected_attempts=sim.attempts_cap(spec, code),
+                    )
+                except analysis.UnreachableRecipientError:
+                    want = None
+                assert o.assigned_sf == want, (scheme.label, o.distance_m)

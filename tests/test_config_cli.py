@@ -1,4 +1,5 @@
-"""Configuration loading, fingerprinting, and the command line surface.
+"""Configuration loading, fingerprinting, the command line surface, and the
+package exports.
 
 CLI tests run ``main()`` in process and assert on exit codes, the files
 written, and the stable CSV schemas. Reproducibility is checked at the
@@ -476,3 +477,12 @@ class TestCompareVerb:
         )
         assert rc == 2
         assert "share no key columns" in capsys.readouterr().err
+
+
+class TestPackageSurface:
+    def test_every_exported_name_resolves(self):
+        import fuotacast
+
+        assert len(set(fuotacast.__all__)) == len(fuotacast.__all__)
+        for name in fuotacast.__all__:
+            assert hasattr(fuotacast, name), name

@@ -1,57 +1,57 @@
-"""Transmission policy behavior: SF ramps, labels, and session scheduling."""
+"""Transmission policy behavior: the session plan of each scheme, labels,
+and the group assignment every group-based run uses."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuotacast import analysis, benchmarks, sim
+from fuotacast.config import load_default_spec
 from fuotacast.schemes import (
     FixedSfScheme,
     GroupBasedScheme,
-    NoProgressError,
     ProposedScheme,
-    assign_group_energy,
-    assign_group_latency,
-    session_schedule,
+    session_plan,
 )
+
+
+def _segments(scheme, cap):
+    """The segments of a single-stream plan."""
+    [(group_sf, segments)] = session_plan(scheme, cap)
+    assert group_sf is None
+    return segments
 
 
 class TestProposedRamp:
     def test_round_boundaries(self):
         scheme = ProposedScheme(7, 12, 300)
-        assert scheme.sf_for_transmission(1) == 7
-        assert scheme.sf_for_transmission(300) == 7
-        assert scheme.sf_for_transmission(301) == 8
-        assert scheme.sf_for_transmission(600) == 8
-        assert scheme.sf_for_transmission(1500) == 11
-        assert scheme.sf_for_transmission(1501) == 12
-        assert scheme.sf_for_transmission(1800) == 12
-        # past the last nominal round the SF stays pinned
-        assert scheme.sf_for_transmission(5000) == 12
-
-    def test_narrow_ramp(self):
-        scheme = ProposedScheme(9, 10, 2)
-        assert [scheme.sf_for_transmission(t) for t in range(1, 7)] == [
-            9, 9, 10, 10, 10, 10,
+        assert _segments(scheme, 10099) == [
+            (7, 300), (8, 300), (9, 300), (10, 300), (11, 300), (12, 10099 - 1500),
         ]
 
-    def test_frame_indices_are_one_based(self):
-        with pytest.raises(ValueError):
-            ProposedScheme().sf_for_transmission(0)
-        with pytest.raises(ValueError):
-            FixedSfScheme(9).sf_for_transmission(-3)
+    def test_narrow_ramp(self):
+        assert _segments(ProposedScheme(9, 10, 2), 6) == [(9, 2), (10, 4)]
 
     @given(
         min_sf=st.integers(min_value=7, max_value=12),
         span=st.integers(min_value=0, max_value=5),
         w=st.integers(min_value=1, max_value=50),
-        t=st.integers(min_value=1, max_value=2000),
+        cap=st.integers(min_value=1, max_value=2000),
     )
     @settings(max_examples=80)
-    def test_ramp_is_monotone_and_bounded(self, min_sf, span, w, t):
+    def test_ramp_is_monotone_and_bounded(self, min_sf, span, w, cap):
         max_sf = min(min_sf + span, 12)
-        scheme = ProposedScheme(min_sf, max_sf, w)
-        sf_t = scheme.sf_for_transmission(t)
-        assert min_sf <= sf_t <= max_sf
-        assert scheme.sf_for_transmission(t + 1) >= sf_t
+        segments = _segments(ProposedScheme(min_sf, max_sf, w), cap)
+        assert [sf for sf, _ in segments] == list(range(min_sf, max_sf + 1))
+        assert sum(budget for _, budget in segments) == cap
+        # each round takes w frames, or what the cap still leaves
+        left = cap
+        for _, budget in segments[:-1]:
+            assert budget == min(w, left)
+            left -= budget
+        assert segments[-1][1] == left >= 0
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -64,9 +64,7 @@ class TestProposedRamp:
             ProposedScheme(7, 13, 300)
 
     def test_single_sf_ramp_is_allowed(self):
-        scheme = ProposedScheme(10, 10, 5)
-        assert scheme.sf_for_transmission(1) == 10
-        assert scheme.sf_for_transmission(999) == 10
+        assert _segments(ProposedScheme(10, 10, 5), 999) == [(10, 999)]
 
 
 class TestLabels:
@@ -88,81 +86,65 @@ class TestLabels:
 
 
 class TestSessionSchedule:
-    def test_single_stream_stops_on_feedback(self):
-        seen = []
+    """:func:`session_plan`: the streams of a session and their segments."""
 
-        def is_complete(group_sf):
-            assert group_sf is None
-            return len(seen) >= 5
-
-        for t, sf, group_sf in session_schedule(FixedSfScheme(9), is_complete, 100):
-            seen.append((t, sf, group_sf))
-        assert seen == [(1, 9, None), (2, 9, None), (3, 9, None), (4, 9, None), (5, 9, None)]
+    def test_single_stream_stops_on_feedback(self, spec):
+        # a fixed SF is one stream holding the whole cap; the simulator ends
+        # it at the last completion, well before the cap
+        assert session_plan(FixedSfScheme(9), 100) == [(None, [(9, 100)])]
+        clean = load_default_spec({
+            "phy": {"sensitivity_dbm": {7: -995.0, 8: -996.0, 9: -997.0,
+                                        10: -998.0, 11: -999.0, 12: -1000.0}},
+            "interferers": {"intensity_per_m2": 0.0},
+        })
+        code = dataclasses.replace(clean.firmware.code, mode="ideal")
+        res = sim.run_session(
+            clean, FixedSfScheme(9), np.random.default_rng(4),
+            distances=np.full(5, 300.0), code=code,
+        )
+        assert res.transmissions == clean.firmware.fragments
+        assert res.transmissions < sim.attempts_cap(clean, code)
 
     def test_ramp_stream_follows_policy(self):
-        scheme = ProposedScheme(7, 12, 2)
-        sent = []
+        assert _segments(ProposedScheme(7, 12, 2), 100) == [
+            (7, 2), (8, 2), (9, 2), (10, 2), (11, 2), (12, 90),
+        ]
 
-        def is_complete(_):
-            return len(sent) >= 7
-
-        for t, sf, _ in session_schedule(scheme, is_complete, 100):
-            sent.append(sf)
-        assert sent == [7, 7, 8, 8, 9, 9, 10]
+    def test_ramp_budgets_stop_at_the_cap(self):
+        # a cap short of the five nominal rounds leaves the later SFs zero
+        # frames, on which the simulator draws nothing
+        assert _segments(ProposedScheme(7, 12, 300), 700) == [
+            (7, 300), (8, 300), (9, 100), (10, 0), (11, 0), (12, 0),
+        ]
 
     def test_group_streams_serve_ascending_sfs(self):
-        scheme = GroupBasedScheme("energy")
-        remaining = {8: 2, 10: 3, 12: 1}
-
-        def is_complete(group_sf):
-            return remaining[group_sf] == 0
-
-        order = []
-        for t, sf, group_sf in session_schedule(
-            scheme, is_complete, 100, groups=[10, 8, 12, 8]
-        ):
-            assert sf == group_sf
-            remaining[group_sf] -= 1
-            order.append((t, sf))
-        assert order == [(1, 8), (2, 8), (3, 10), (4, 10), (5, 10), (6, 12)]
+        plan = session_plan(GroupBasedScheme("energy"), 100, [10, 8, 12, 8])
+        assert plan == [(8, [(8, 100)]), (10, [(10, 100)]), (12, [(12, 100)])]
 
     def test_group_scheme_requires_groups(self):
         with pytest.raises(ValueError):
-            list(session_schedule(GroupBasedScheme(), lambda g: True, 100))
-
-    def test_cap_raises_no_progress(self):
-        with pytest.raises(NoProgressError):
-            list(session_schedule(FixedSfScheme(7), lambda g: False, 10))
-
-    def test_group_stall_stops_later_groups(self):
-        scheme = GroupBasedScheme("latency")
-        served = []
-
-        def is_complete(group_sf):
-            return group_sf == 7 and len(served) >= 1
-
-        def consume():
-            for t, sf, group_sf in session_schedule(
-                scheme, is_complete, 3, groups=[7, 9]
-            ):
-                served.append(group_sf)
-
-        with pytest.raises(NoProgressError):
-            consume()
-        # the SF7 group got its frame; the stalled SF9 group hit the cap
-        assert served == [7, 9, 9, 9]
+            session_plan(GroupBasedScheme(), 100)
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
-            list(session_schedule(FixedSfScheme(7), lambda g: True, 0))
+            session_plan(FixedSfScheme(7), 0)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(TypeError):
+            session_plan(object(), 100)
 
 
 class TestGroupAssignmentHelpers:
-    def test_wrappers_match_direct_assignment(self, phy, link, field):
-        from fuotacast import analysis
-
-        tables = analysis.success_tables(500.0, 50, phy, link, field)
-        want_e = analysis.assign_group_sf(tables, 202.0, phy, "energy")
-        want_l = analysis.assign_group_sf(tables, 202.0, phy, "latency")
-        assert assign_group_energy(500.0, phy, link, field, 202.0, 50) == want_e
-        assert assign_group_latency(500.0, phy, link, field, 202.0, 50) == want_l
+    def test_wrappers_match_direct_assignment(self, spec):
+        # every group-based run, lifetime --mode sim's single distance
+        # included, takes its SFs from benchmarks._group_assignment
+        tables = benchmarks.build_tables(spec, [500.0])
+        for criterion in ("energy", "latency"):
+            scheme = GroupBasedScheme(criterion)
+            code = benchmarks.scheme_code(spec, scheme)
+            want = analysis.assign_group_sf(
+                tables[500.0], code.expected_fragments(), spec.phy, criterion,
+                duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
+                options=spec.analysis, max_expected_attempts=sim.attempts_cap(spec, code),
+            )
+            assert benchmarks._group_assignment(tables, spec, scheme) == {500.0: want}
