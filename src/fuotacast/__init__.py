@@ -8,7 +8,6 @@ group-based baseline, plus battery-lifetime estimation.
 
 from .analysis import (
     AnalysisOptions,
-    AnalyticalOutcome,
     NumericalIntegrationError,
     SuccessTables,
     UnreachableRecipientError,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_SFS",
     "AnalysisOptions",
-    "AnalyticalOutcome",
     "ConfigError",
     "DistanceRow",
     "DutyProfile",

@@ -2,7 +2,7 @@
 
 Per-distance reception probabilities against Rayleigh fading plus a
 Poisson interferer field, and the expected energy and delivery time of
-each multicast scheme under duty-cycle pacing.
+one stream of a scheme's session plan under duty-cycle pacing.
 
 The central object is :class:`SuccessTables`: preamble and whole-frame
 success probabilities for every spreading factor, conditioned on each
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .channel import (
     mean_interferer_count,
 )
 from .phy import ALL_SFS, SF_MAX, SF_MIN, PhyProfile, check_sf
-from .schemes import ProposedScheme
 
 
 class NumericalIntegrationError(RuntimeError):
@@ -55,7 +54,10 @@ class AnalysisOptions:
     ``eta_denominator``: the final sliver of attempts is remaining
     fragments divided by the per-frame success probability ("success");
     "failure_literal" divides by the failure probability instead, which is
-    what a strictly literal reading of the final-round formula says.
+    what a strictly literal reading of the final-round formula says. It
+    applies to the segment in which a recipient finishes, in every
+    scheme's streams: the ramp's, a fixed SF's and each group's, so a
+    fixed SF and a one-SF ramp agree under either reading.
 
     ``energy_formula``: "partitioned" charges a full-frame listen whenever
     the preamble is acquired and a preamble-only listen otherwise, so the
@@ -78,24 +80,6 @@ class AnalysisOptions:
             raise ValueError("count_tail_mass must be in (0, 0.1)")
         if not 0.0 < self.quadrature_rtol < 1e-2:
             raise ValueError("quadrature_rtol must be in (0, 1e-2)")
-
-
-@dataclass(frozen=True)
-class AnalyticalOutcome:
-    """Expected per-recipient result of one firmware session.
-    ``expected_frames`` counts the frames sent until the recipient
-    completes, deconditioned over the interferer count."""
-
-    energy_fragments_j: float
-    energy_control_j: float
-    update_time_s: float
-    round_completed: int
-    attempts_in_final_round: float
-    expected_frames: float
-
-    @property
-    def energy_total_j(self) -> float:
-        return self.energy_fragments_j + self.energy_control_j
 
 
 def collision_probability(
@@ -266,12 +250,6 @@ class SuccessTables:
     def frame_success_for(self, sf: int) -> np.ndarray:
         return self.frame_success[self.row(sf)]
 
-    def mean_preamble_success(self, sf: int) -> float:
-        return float(self.count_weights @ self.preamble_success_for(sf))
-
-    def mean_frame_success(self, sf: int) -> float:
-        return float(self.count_weights @ self.frame_success_for(sf))
-
     def attempt_energy_by_count(
         self, sf: int, phy: PhyProfile, energy_formula: str = "partitioned"
     ) -> np.ndarray:
@@ -287,11 +265,6 @@ class SuccessTables:
         with np.errstate(invalid="ignore", divide="ignore"):
             f_pl = np.where(s_pr > 0.0, 1.0 - s_fr / np.where(s_pr > 0.0, s_pr, 1.0), 0.0)
         return (s_fr + f_pl) * e_fr + (1.0 - s_pr) * e_pr
-
-    def mean_attempt_energy(
-        self, sf: int, phy: PhyProfile, energy_formula: str = "partitioned"
-    ) -> float:
-        return float(self.count_weights @ self.attempt_energy_by_count(sf, phy, energy_formula))
 
 
 def success_tables(
@@ -402,243 +375,110 @@ def normalization_energy_j(phy: PhyProfile, fragments: int, payload_bytes: int) 
     return fragments * phy.rx_energy_frame(SF_MIN, payload_bytes)
 
 
-def ramp_costs(
+@dataclass(frozen=True, eq=False)
+class StreamCosts:
+    """What serving one distance costs, per SF: frame success and attempt
+    energy (rows SF 7..12, one column per interferer count), the duty slot
+    of each SF, and the weights that decondition the columns."""
+
+    distance_m: float
+    success: np.ndarray
+    attempt_energy: np.ndarray
+    slots: np.ndarray
+    weights: np.ndarray
+
+    def mean(self) -> StreamCosts:
+        """The count-weighted mean success and attempt energy as a
+        one-column table: what a group-based stream is costed on."""
+
+        def column(rows: np.ndarray) -> np.ndarray:
+            return np.array([[float(self.weights @ row)] for row in rows])
+
+        return StreamCosts(
+            self.distance_m,
+            column(self.success),
+            column(self.attempt_energy),
+            self.slots,
+            np.ones(1),
+        )
+
+
+def stream_costs(
     tables: SuccessTables,
     phy: PhyProfile,
     duty_cycle_max_percent: float,
     energy_formula: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attempt energy per count (rows SF 7..12) and the duty slot of each SF:
-    the per-table inputs that every ramp (w, L) variant shares."""
-    e_att = np.stack(
-        [tables.attempt_energy_by_count(sf, phy, energy_formula) for sf in ALL_SFS]
+) -> StreamCosts:
+    """The :class:`StreamCosts` of one table; every stream evaluated at the
+    table's distance shares them."""
+    return StreamCosts(
+        tables.distance_m,
+        tables.frame_success,
+        np.stack([tables.attempt_energy_by_count(sf, phy, energy_formula) for sf in ALL_SFS]),
+        np.array(
+            [duty_slot_s(phy, sf, tables.payload_bytes, duty_cycle_max_percent) for sf in ALL_SFS]
+        ),
+        tables.count_weights,
     )
-    slots = np.array(
-        [duty_slot_s(phy, sf, tables.payload_bytes, duty_cycle_max_percent) for sf in ALL_SFS]
-    )
-    return e_att, slots
 
 
-def _proposed_profile(
-    tables: SuccessTables,
-    scheme: ProposedScheme,
+def evaluate_stream(
+    segments: Sequence[tuple[int, int]],
+    costs: StreamCosts,
     needed: float,
-    costs: tuple[np.ndarray, np.ndarray],
-    options: AnalysisOptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-count (energy, time, finishing round, final-round attempts) for
-    the ramp scheme, given the table's :func:`ramp_costs`. The finishing
-    round is reported as the SF of the round in which the expected
-    receptions first cover ``needed``; ``max_sf + 1`` means the open-ended
-    tail past the last nominal round."""
+    eta_denominator: str = "success",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-count (energy, time, frames) until a recipient holds ``needed``
+    fragments, served one stream of a
+    :func:`~fuotacast.schemes.session_plan`: each segment's frame budget at
+    its SF in order, with the last segment open-ended.
+
+    A count finishes in the first segment whose cumulative expected
+    receptions cover ``needed``; there it pays the remaining fragments
+    divided by that segment's success probability, or by its failure
+    probability under ``eta_denominator="failure_literal"``. Raises
+    :class:`UnreachableRecipientError` when the last SF delivers nothing at
+    some count, or when the deconditioned expected frames exceed the
+    stream's total budget, where the simulator abandons the stream.
+    """
     if needed <= 0.0:
         raise ValueError("needed fragment count must be positive")
-    rows = slice(tables.row(scheme.min_sf), tables.row(scheme.max_sf) + 1)
-    w = float(scheme.frames_per_round)
-    n_blocks = scheme.max_sf - scheme.min_sf + 1
-    n_counts = tables.count_values.size
-    col = np.arange(n_counts)
+    rows = [check_sf(sf) - SF_MIN for sf, _ in segments]
+    budgets = np.array([budget for _, budget in segments[:-1]], dtype=np.float64)
+    s_fr = costs.success[rows]
+    e_att = costs.attempt_energy[rows]
+    slots = costs.slots[rows]
+    col = np.arange(s_fr.shape[1])
 
-    s_fr = tables.frame_success[rows]
-    e_att = costs[0][rows]
-    slots = costs[1][rows]
+    def started(per_frame: np.ndarray) -> np.ndarray:
+        # the totals over the segments before each one, per count
+        out = np.zeros(per_frame.shape)
+        (budgets[:, None] * per_frame[:-1]).cumsum(axis=0, out=out[1:])
+        return out
 
-    cum = np.vstack([np.zeros(n_counts), np.cumsum(w * s_fr, axis=0)])
-    reached = cum[1:] >= needed
-    has_block = reached.any(axis=0)
-    first = np.argmax(reached, axis=0)
-    block = np.where(has_block, first, n_blocks)
-    final_idx = np.minimum(block, n_blocks - 1)
-    s_final = s_fr[final_idx, col]
-    remaining = needed - cum[block, col]
+    received = started(s_fr)
+    # the cumulative receptions never fall, so the number of segment ends
+    # still short of the need is the index of the finishing segment
+    block = (received[1:] < needed).sum(axis=0)
+    s_final = s_fr[block, col]
+    remaining = needed - received[block, col]
 
-    dead = (block == n_blocks) & (s_final <= 0.0)
-    if np.any(dead):
-        raise UnreachableRecipientError(tables.distance_m, float(np.max(remaining[dead])))
-
-    if options.eta_denominator == "success":
-        denom = s_final
-    else:
-        denom = 1.0 - s_final
-    if np.any(denom <= 0.0):
+    # a segment before the last that finishes a count delivered something,
+    # so a dead count is one the open-ended last segment cannot serve
+    dead = s_final <= 0.0
+    if dead.any():
+        raise UnreachableRecipientError(costs.distance_m, float(remaining[dead].max()))
+    denom = s_final if eta_denominator == "success" else 1.0 - s_final
+    if (denom <= 0.0).any():
         raise ValueError(
             "final-round attempt denominator vanished; the literal failure-rate"
             " form cannot describe a loss-free final round"
         )
     eta = remaining / denom
 
-    energy_cum = np.vstack([np.zeros(n_counts), np.cumsum(w * e_att, axis=0)])
-    energy = energy_cum[block, col] + eta * e_att[final_idx, col]
-    time_cum = np.concatenate([[0.0], np.cumsum(w * slots)])
-    time = time_cum[block] + eta * slots[final_idx]
-    rounds = np.where(block < n_blocks, scheme.min_sf + block, scheme.max_sf + 1)
-    return energy, time, rounds, eta
-
-
-def evaluate_proposed(
-    tables: SuccessTables,
-    scheme: ProposedScheme,
-    needed: float,
-    phy: PhyProfile,
-    *,
-    duty_cycle_max_percent: float = 1.0,
-    control_energy: float = 0.0,
-    options: Optional[AnalysisOptions] = None,
-) -> AnalyticalOutcome:
-    """Deconditioned expected outcome of the ramp scheme at one distance."""
-    options = options or AnalysisOptions()
-    costs = ramp_costs(tables, phy, duty_cycle_max_percent, options.energy_formula)
-    return proposed_outcome(
-        tables, scheme, needed, costs, control_energy=control_energy, options=options
-    )
-
-
-def proposed_outcome(
-    tables: SuccessTables,
-    scheme: ProposedScheme,
-    needed: float,
-    costs: tuple[np.ndarray, np.ndarray],
-    *,
-    control_energy: float = 0.0,
-    options: Optional[AnalysisOptions] = None,
-) -> AnalyticalOutcome:
-    """:func:`evaluate_proposed` on a table whose :func:`ramp_costs` are
-    already known, so a design sweep computes them once per table."""
-    options = options or AnalysisOptions()
-    energy, time, rounds, eta = _proposed_profile(tables, scheme, needed, costs, options)
-    weights = tables.count_weights
-    modal = int(np.argmax(weights))
-    # the finishing round's index is the number of full rounds before it
-    frames = scheme.frames_per_round * (rounds - scheme.min_sf) + eta
-    return AnalyticalOutcome(
-        energy_fragments_j=float(weights @ energy),
-        energy_control_j=float(control_energy),
-        update_time_s=float(weights @ time),
-        round_completed=int(rounds[modal]),
-        attempts_in_final_round=float(eta[modal]),
-        expected_frames=float(weights @ frames),
-    )
-
-
-def evaluate_fixed_sf(
-    tables: SuccessTables,
-    sf: int,
-    needed: float,
-    phy: PhyProfile,
-    *,
-    duty_cycle_max_percent: float = 1.0,
-    control_energy: float = 0.0,
-    options: Optional[AnalysisOptions] = None,
-) -> AnalyticalOutcome:
-    """Deconditioned expected outcome of a single-SF session at one distance."""
-    if needed <= 0.0:
-        raise ValueError("needed fragment count must be positive")
-    options = options or AnalysisOptions()
-    s = tables.frame_success_for(sf)
-    if np.any(s <= 0.0):
-        raise UnreachableRecipientError(tables.distance_m, float(needed))
-    attempts = needed / s
-    energy = attempts * tables.attempt_energy_by_count(sf, phy, options.energy_formula)
-    time = attempts * duty_slot_s(phy, sf, tables.payload_bytes, duty_cycle_max_percent)
-    weights = tables.count_weights
-    modal = int(np.argmax(weights))
-    return AnalyticalOutcome(
-        energy_fragments_j=float(weights @ energy),
-        energy_control_j=float(control_energy),
-        update_time_s=float(weights @ time),
-        round_completed=check_sf(sf),
-        attempts_in_final_round=float(attempts[modal]),
-        expected_frames=float(weights @ attempts),
-    )
-
-
-def group_cost(
-    tables: SuccessTables,
-    sf: int,
-    needed: float,
-    phy: PhyProfile,
-    criterion: str,
-    *,
-    duty_cycle_max_percent: float = 1.0,
-    options: Optional[AnalysisOptions] = None,
-) -> float:
-    """Expected per-node cost of serving this distance entirely at one SF."""
-    options = options or AnalysisOptions()
-    s = tables.mean_frame_success(sf)
-    if s <= 0.0:
-        return math.inf
-    attempts = needed / s
-    if criterion == "energy":
-        return attempts * tables.mean_attempt_energy(sf, phy, options.energy_formula)
-    if criterion == "latency":
-        return attempts * duty_slot_s(phy, sf, tables.payload_bytes, duty_cycle_max_percent)
-    raise ValueError("criterion must be 'energy' or 'latency'")
-
-
-def assign_group_sf(
-    tables: SuccessTables,
-    needed: float,
-    phy: PhyProfile,
-    criterion: str,
-    *,
-    duty_cycle_max_percent: float = 1.0,
-    options: Optional[AnalysisOptions] = None,
-    max_expected_attempts: Optional[float] = None,
-) -> int:
-    """Cheapest serving SF for this distance; ties go to the smaller SF.
-
-    SFs whose expected attempt count exceeds ``max_expected_attempts`` are
-    treated as out of range. Raises :class:`UnreachableRecipientError` when
-    no SF qualifies.
-    """
-    best_sf = None
-    best_cost = math.inf
-    for sf in ALL_SFS:
-        s = tables.mean_frame_success(sf)
-        if s <= 0.0:
-            continue
-        if max_expected_attempts is not None and needed / s > max_expected_attempts:
-            continue
-        cost = group_cost(
-            tables,
-            sf,
-            needed,
-            phy,
-            criterion,
-            duty_cycle_max_percent=duty_cycle_max_percent,
-            options=options,
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_sf = sf
-    if best_sf is None:
-        raise UnreachableRecipientError(tables.distance_m, float(needed))
-    return best_sf
-
-
-def assign_groups(
-    tables: Mapping[float, SuccessTables],
-    needed: float,
-    phy: PhyProfile,
-    criterion: str,
-    *,
-    duty_cycle_max_percent: float = 1.0,
-    options: Optional[AnalysisOptions] = None,
-    max_expected_attempts: Optional[float] = None,
-) -> dict[float, Optional[int]]:
-    """Serving SF per tabulated distance; ``None`` marks unreachable distances."""
-    assignment: dict[float, Optional[int]] = {}
-    for d, tab in tables.items():
-        try:
-            assignment[d] = assign_group_sf(
-                tab,
-                needed,
-                phy,
-                criterion,
-                duty_cycle_max_percent=duty_cycle_max_percent,
-                options=options,
-                max_expected_attempts=max_expected_attempts,
-            )
-        except UnreachableRecipientError:
-            assignment[d] = None
-    return assignment
+    energy = started(e_att)[block, col] + eta * e_att[block, col]
+    time = np.concatenate(([0.0], (budgets * slots[:-1]).cumsum()))[block] + eta * slots[block]
+    frames = np.concatenate(([0.0], budgets.cumsum()))[block] + eta
+    if float(costs.weights @ frames) > sum(budget for _, budget in segments):
+        raise UnreachableRecipientError(costs.distance_m, float(needed))
+    return energy, time, frames

@@ -24,7 +24,8 @@ import numpy as np
 from . import analysis, lifetime, sim
 from .config import ExperimentSpec
 from .fec import RatelessModel
-from .schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme, Scheme
+from .phy import ALL_SFS
+from .schemes import GroupBasedScheme, ProposedScheme, Scheme, Segment, session_plan
 
 
 @dataclass(frozen=True)
@@ -110,100 +111,99 @@ def build_tables(
     }
 
 
+def _costs(
+    spec: ExperimentSpec, tables: dict[float, analysis.SuccessTables]
+) -> dict[float, analysis.StreamCosts]:
+    """The stream costs of each table, shared by every scheme and plan."""
+    return {
+        d: analysis.stream_costs(
+            tab, spec.phy, spec.network.duty_cycle_max_percent, spec.analysis.energy_formula
+        )
+        for d, tab in tables.items()
+    }
+
+
+def _expected(
+    segments: list[Segment], costs: analysis.StreamCosts, needed: float, spec: ExperimentSpec
+) -> Optional[tuple[float, float]]:
+    """Deconditioned (energy J, time s) of one stream at one distance, or
+    ``None`` where the stream does not reach it."""
+    try:
+        energy, time, _ = analysis.evaluate_stream(
+            segments, costs, needed, spec.analysis.eta_denominator
+        )
+    except analysis.UnreachableRecipientError:
+        return None
+    return float(costs.weights @ energy), float(costs.weights @ time)
+
+
 def _group_assignment(
-    tables: dict[float, analysis.SuccessTables],
+    costs: dict[float, analysis.StreamCosts],
     spec: ExperimentSpec,
-    scheme: GroupBasedScheme,
-) -> dict[float, Optional[int]]:
-    """Serving SF of a group-based scheme per tabulated distance, ``None``
-    where no SF reaches it within the stream's frame budget."""
-    code = scheme_code(spec, scheme)
-    return analysis.assign_groups(
-        tables,
-        code.expected_fragments(),
-        spec.phy,
-        scheme.criterion,
-        duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-        options=spec.analysis,
-        max_expected_attempts=sim.attempts_cap(spec, code),
-    )
+    scheme: Scheme,
+) -> Optional[dict[float, Optional[int]]]:
+    """Serving SF per distance of ``costs`` for a group-based scheme;
+    ``None`` for any other scheme.
 
-
-def _gb_metrics(
-    tables: dict[float, analysis.SuccessTables],
-    spec: ExperimentSpec,
-    scheme: GroupBasedScheme,
-    needed: float,
-) -> dict[float, tuple[float, float]]:
-    """Per-distance (energy J, delivery time s) under sequential groups.
-
-    A recipient's delivery time stacks the full durations of every earlier
-    (lower-SF) group on top of its own expected completion; its energy is
-    only its own group's listening. Group durations are set by the group's
-    farthest member. Unreachable distances map to nan pairs.
+    Each distance takes the SF whose one-SF stream, costed on the
+    count-weighted mean table, is cheapest by the scheme's criterion, ties
+    to the lower SF, among the SFs that reach it within the stream's frame
+    budget. ``None`` marks a distance that no SF reaches.
     """
-    phy, net = spec.phy, spec.network
-    opts, dc = spec.analysis, net.duty_cycle_max_percent
-    assignment = _group_assignment(tables, spec, scheme)
-    groups: dict[int, list[float]] = {}
-    for d, sf in assignment.items():
-        if sf is not None:
-            groups.setdefault(sf, []).append(d)
-    duration = {}
-    for sf, ds in groups.items():
-        boundary = tables[max(ds)]
-        duration[sf] = (
-            needed / boundary.mean_frame_success(sf)
-        ) * analysis.duty_slot_s(phy, sf, boundary.payload_bytes, dc)
-    out = {}
-    for d, tab in tables.items():
-        sf = assignment[d]
-        if sf is None:
-            out[d] = (float("nan"), float("nan"))
-            continue
-        attempts = needed / tab.mean_frame_success(sf)
-        energy = attempts * tab.mean_attempt_energy(sf, phy, opts.energy_formula)
-        wait = sum(t for s, t in duration.items() if s < sf)
-        own = attempts * analysis.duty_slot_s(phy, sf, tab.payload_bytes, dc)
-        out[d] = (energy, wait + own)
-    return out
+    if not isinstance(scheme, GroupBasedScheme):
+        return None
+    code = scheme_code(spec, scheme)
+    needed, cap = code.expected_fragments(), sim.attempts_cap(spec, code)
+    # the criterion picks energy or time from the deconditioned pair
+    pick = ("energy", "latency").index(scheme.criterion)
+    assignment = {}
+    for d, at_d in costs.items():
+        mean = at_d.mean()
+        cost = {}
+        for sf in ALL_SFS:
+            res = _expected([(sf, cap)], mean, needed, spec)
+            if res is not None:
+                cost[sf] = res[pick]
+        assignment[d] = min(cost, key=cost.get, default=None)
+    return assignment
 
 
 def _analysis_metrics(
-    tables: dict[float, analysis.SuccessTables],
+    costs: dict[float, analysis.StreamCosts],
     spec: ExperimentSpec,
     scheme: Scheme,
 ) -> dict[float, tuple[float, float]]:
-    """Per-distance (energy J, delivery time s); nan pairs mark unreachable."""
-    phy, net = spec.phy, spec.network
-    opts, dc = spec.analysis, net.duty_cycle_max_percent
+    """Per-distance (energy J, delivery time s) of the scheme's session
+    plan; nan pairs mark unreachable distances.
+
+    A group stream serves the distances assigned its SF, costed on their
+    count-weighted mean tables; a stream without a group serves every
+    distance on its per-count tables. A recipient's delivery time stacks
+    the durations of the streams before its own, each the time of that
+    stream's farthest member, on its own completion; its energy is its
+    own stream's listening only.
+    """
     code = scheme_code(spec, scheme)
     needed = code.expected_fragments()
-    cap = float(sim.attempts_cap(spec, code))
-    if isinstance(scheme, GroupBasedScheme):
-        return _gb_metrics(tables, spec, scheme, needed)
-    out = {}
-    for d, tab in tables.items():
-        try:
-            if isinstance(scheme, ProposedScheme):
-                res = analysis.evaluate_proposed(
-                    tab, scheme, needed, phy, duty_cycle_max_percent=dc, options=opts
-                )
-                if res.expected_frames > cap:
-                    raise analysis.UnreachableRecipientError(d, needed)
-            elif isinstance(scheme, FixedSfScheme):
-                s_mean = tab.mean_frame_success(scheme.sf)
-                if s_mean <= 0.0 or needed / s_mean > cap:
-                    raise analysis.UnreachableRecipientError(d, needed)
-                res = analysis.evaluate_fixed_sf(
-                    tab, scheme.sf, needed, phy, duty_cycle_max_percent=dc, options=opts
-                )
-            else:
-                raise TypeError(f"unknown scheme {scheme!r}")
-        except analysis.UnreachableRecipientError:
-            out[d] = (float("nan"), float("nan"))
-            continue
-        out[d] = (res.energy_fragments_j, res.update_time_s)
+    # a group-based plan serves each distance in the stream of its SF; the
+    # one stream of any other plan serves them all
+    assignment = _group_assignment(costs, spec, scheme) or dict.fromkeys(costs)
+    group_sfs = [sf for sf in assignment.values() if sf is not None]
+    out = dict.fromkeys(costs, (float("nan"), float("nan")))
+    wait = 0
+    for group_sf, segments in session_plan(scheme, sim.attempts_cap(spec, code), group_sfs):
+        own = {}
+        for d, sf in assignment.items():
+            if sf != group_sf:
+                continue
+            res = _expected(
+                segments, costs[d] if group_sf is None else costs[d].mean(), needed, spec
+            )
+            if res is not None:
+                own[d] = res[1]
+                out[d] = (res[0], wait + res[1])
+        if own:
+            wait += own[max(own)]
     return out
 
 
@@ -237,24 +237,24 @@ def run_suite(
         isinstance(s, GroupBasedScheme) for s in spec.schemes
     )
     on_grid = spec.layout.kind == "grid"
-    tables = build_tables(spec, grid) if mode != "simulate" or (grouped and on_grid) else None
-    assignment_tables = tables
+    costs = None
+    if mode != "simulate" or (grouped and on_grid):
+        costs = _costs(spec, build_tables(spec, grid))
+    assignment_costs = costs
     if grouped and not on_grid:
         radius = spec.network.cell_radius_m
-        assignment_tables = build_tables(spec, [radius * (j + 1) / 256 for j in range(256)])
+        lattice = build_tables(spec, [radius * (j + 1) / 256 for j in range(256)])
+        assignment_costs = _costs(spec, lattice)
 
     rows: list[DistanceRow] = []
     summaries: list[SchemeSummary] = []
     for scheme in spec.schemes:
-        ana = _analysis_metrics(tables, spec, scheme) if mode != "simulate" else None
+        ana = _analysis_metrics(costs, spec, scheme) if mode != "simulate" else None
         res = None
         if mode != "analysis":
-            assignment = None
-            if isinstance(scheme, GroupBasedScheme):
-                assignment = _group_assignment(assignment_tables, spec, scheme)
             res = sim.run_experiment(
                 spec, scheme, runs=runs, seed=seed, code=scheme_code(spec, scheme),
-                group_assignment=assignment,
+                group_assignment=_group_assignment(assignment_costs, spec, scheme),
             )
         mine: list[DistanceRow] = []
         for i, d in enumerate(grid):
@@ -306,34 +306,22 @@ def sweep_grid(spec: ExperimentSpec) -> list[SweepRow]:
     )
     if base is None:
         raise ValueError("the design sweep needs a ramp scheme in the suite")
-    tables = build_tables(spec)
-    phy = spec.phy
-    opts, dc = spec.analysis, spec.network.duty_cycle_max_percent
     needed = spec.firmware.code.expected_fragments()
     cap = sim.attempts_cap(spec, spec.firmware.code)
     e_norm = analysis.normalization_energy_j(
-        phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
+        spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
     )
-    # attempt energies and duty slots depend only on the table, not on (w, L)
-    costs = [
-        (tab, analysis.ramp_costs(tab, phy, dc, opts.energy_formula))
-        for tab in tables.values()
-    ]
+    # the per-SF costs depend only on the table, not on (w, L)
+    costs = _costs(spec, build_tables(spec)).values()
     rows = []
     for min_sf in spec.sweep.min_sf:
         for w in spec.sweep.frames_per_round:
             scheme = ProposedScheme(min_sf=min_sf, max_sf=base.max_sf, frames_per_round=w)
+            [(_, segments)] = session_plan(scheme, cap)
             # averaged over the bins the design reaches, as in run_suite
-            ee, dt = [], []
-            for tab, cost in costs:
-                try:
-                    res = analysis.proposed_outcome(tab, scheme, needed, cost, options=opts)
-                except analysis.UnreachableRecipientError:
-                    continue
-                if res.expected_frames > cap:
-                    continue
-                ee.append(res.energy_fragments_j / e_norm)
-                dt.append(res.update_time_s / 3600.0)
+            reached = [_expected(segments, c, needed, spec) for c in costs]
+            ee = [res[0] / e_norm for res in reached if res]
+            dt = [res[1] / 3600.0 for res in reached if res]
             rows.append(
                 SweepRow(
                     frames_per_round=int(w),
@@ -386,7 +374,8 @@ def _location_energy_sim(
     code = scheme_code(spec, scheme)
     assignment = None
     if isinstance(scheme, GroupBasedScheme):
-        assignment = _group_assignment(build_tables(spec, [distance_m]), spec, scheme)
+        costs = _costs(spec, build_tables(spec, [distance_m]))
+        assignment = _group_assignment(costs, spec, scheme)
         if assignment[distance_m] is None:
             raise analysis.UnreachableRecipientError(distance_m, code.expected_fragments())
     distances = np.full(spec.layout.recipients, distance_m)
@@ -428,10 +417,10 @@ def lifetime_rows(
             rx_current_ma=lt.rx_current_ma,
             sleep_current_ma=lt.sleep_current_ma,
         )
-        tables = build_tables(spec, [d]) if mode == "analysis" else None
+        costs = _costs(spec, build_tables(spec, [d])) if mode == "analysis" else None
         for scheme in spec.schemes:
             if mode == "analysis":
-                energy = _analysis_metrics(tables, spec, scheme)[d][0]
+                energy = _analysis_metrics(costs, spec, scheme)[d][0]
                 reachable = not math.isnan(energy)
             else:
                 # an unreachable location gets the analysis's nan row; a nan

@@ -122,8 +122,14 @@ def _load_spec(args) -> ExperimentSpec:
     if args.config is None:
         raise ConfigError("a config file is required; pass --config <path>")
     spec = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    runs = getattr(args, "runs", None)
+    if runs is not None and runs < 1:
+        raise ConfigError("--runs must be at least 1")
+    if args.seed is not None:
+        try:
+            spec = dataclasses.replace(spec, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     return spec
 
 

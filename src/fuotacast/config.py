@@ -9,9 +9,11 @@ the user file so no experiment silently runs under a default identity.
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -200,6 +202,8 @@ class ExperimentSpec:
             raise ValueError("experiment name must be nonempty")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.output_dir:
             raise ValueError("output_dir must be nonempty")
         if len(self.schemes) == 0:
@@ -307,26 +311,18 @@ class ExperimentSpec:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+# config ``type`` of each scheme; its keys are the dataclass's fields
+_SCHEMES = {"proposed": ProposedScheme, "fixed_sf": FixedSfScheme, "group_based": GroupBasedScheme}
+
+
 def _scheme_to_dict(scheme: Scheme) -> dict:
-    if isinstance(scheme, ProposedScheme):
-        return {
-            "type": "proposed",
-            "min_sf": int(scheme.min_sf),
-            "max_sf": int(scheme.max_sf),
-            "frames_per_round": int(scheme.frames_per_round),
-        }
-    if isinstance(scheme, FixedSfScheme):
-        return {"type": "fixed_sf", "sf": int(scheme.sf)}
-    if isinstance(scheme, GroupBasedScheme):
-        return {"type": "group_based", "criterion": scheme.criterion}
-    raise TypeError(f"unknown scheme {scheme!r}")
+    kind = next(k for k, cls in _SCHEMES.items() if type(scheme) is cls)
+    casts = typing.get_type_hints(type(scheme))
+    return {
+        "type": kind,
+        **{f.name: casts[f.name](getattr(scheme, f.name)) for f in dataclasses.fields(scheme)},
+    }
 
-
-_SCHEME_FIELDS = {
-    "proposed": frozenset({"type", "min_sf", "max_sf", "frames_per_round"}),
-    "fixed_sf": frozenset({"type", "sf"}),
-    "group_based": frozenset({"type", "criterion"}),
-}
 
 _LOCATION_FIELDS = frozenset({"label", "distance_fraction", "uplink_sf"})
 
@@ -336,9 +332,6 @@ _LEAF_MAPS = {
     ("phy", "capture_threshold_db"),
     ("interferers", "sf_probabilities"),
 }
-
-# lists of structured entries, validated separately during construction
-_OPAQUE_LISTS = {("schemes",), ("lifetime", "locations")}
 
 
 def _join(path: tuple) -> str:
@@ -386,29 +379,25 @@ def _scheme_from_entry(entry, index: int) -> Scheme:
     if not isinstance(entry, Mapping):
         raise ConfigError(f"schemes[{index}] must be a mapping with a 'type' key")
     kind = entry.get("type")
-    if kind not in _SCHEME_FIELDS:
+    if kind not in _SCHEMES:
         raise ConfigError(
-            f"schemes[{index}].type must be one of {sorted(_SCHEME_FIELDS)}, got {kind!r}"
+            f"schemes[{index}].type must be one of {sorted(_SCHEMES)}, got {kind!r}"
         )
-    allowed = _SCHEME_FIELDS[kind]
+    cls = _SCHEMES[kind]
+    fields = dataclasses.fields(cls)
+    allowed = sorted({"type"} | {f.name for f in fields})
     for key in entry:
         if key not in allowed:
-            hint = difflib.get_close_matches(str(key), sorted(allowed), n=1)
+            hint = difflib.get_close_matches(str(key), allowed, n=1)
             msg = f"unknown key '{key}' in schemes[{index}] ({kind})"
             if hint:
                 msg += f"; did you mean '{hint[0]}'?"
             raise ConfigError(msg)
-    if kind == "proposed":
-        return ProposedScheme(
-            min_sf=int(entry.get("min_sf", 7)),
-            max_sf=int(entry.get("max_sf", 12)),
-            frames_per_round=int(entry.get("frames_per_round", 300)),
-        )
-    if kind == "fixed_sf":
-        if "sf" not in entry:
-            raise ConfigError(f"schemes[{index}] of type fixed_sf requires an 'sf' key")
-        return FixedSfScheme(sf=int(entry["sf"]))
-    return GroupBasedScheme(criterion=str(entry.get("criterion", "energy")))
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in entry:
+            raise ConfigError(f"schemes[{index}] of type {kind} requires an '{f.name}' key")
+    casts = typing.get_type_hints(cls)
+    return cls(**{f.name: casts[f.name](entry[f.name]) for f in fields if f.name in entry})
 
 
 def _location_from_entry(entry, index: int) -> LifetimeLocation:

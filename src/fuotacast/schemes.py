@@ -3,7 +3,9 @@
 The sequential-SF ramp policy, the fixed-SF baselines and the group-based
 baseline, and :func:`session_plan`, the one place that turns a scheme into
 frames: the ordered streams of a session, each a list of (SF, frame
-budget) segments. The simulator serves that plan segment by segment.
+budget) segments. The simulator serves that plan segment by segment, and
+the closed forms evaluate the same plan stream by stream
+(:func:`fuotacast.analysis.evaluate_stream`).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import pytest
 from fuotacast import analysis, benchmarks, channel, cli, sim
 from fuotacast.config import load_default_spec
 from fuotacast.lifetime import DutyProfile, battery_lifetime_years
-from fuotacast.schemes import FixedSfScheme
+from fuotacast.schemes import FixedSfScheme, session_plan
 
 from test_phy import AIRTIME_TABLE
 
@@ -181,22 +181,17 @@ class TestInterferenceFreeLimits:
         tables = analysis.success_tables(
             400.0, payload, phy, net.link, net.interferers, counts=[0]
         )
-        ana = analysis.evaluate_fixed_sf(
-            tables, 7, float(k), phy,
-            duty_cycle_max_percent=net.duty_cycle_max_percent,
-            control_energy=control,
+        costs = analysis.stream_costs(tables, phy, net.duty_cycle_max_percent, "partitioned")
+        energy, _, frames = analysis.evaluate_stream(
+            session_plan(FixedSfScheme(7), 10 * k)[0][1], costs, float(k)
         )
-        ana_exact = (
-            ana.energy_fragments_j == k * e_fr
-            and ana.energy_control_j == control
-            and ana.attempts_in_final_round == float(k)
-        )
+        ana_exact = energy[0] == k * e_fr and frames[0] == float(k)
         ok = sim_exact and ana_exact
         _verdict(
             capsys, "4b", ok,
             f"empty interferer field + ideal code: simulator and closed form both "
-            f"finish at frame {k} with receive energy exactly {k}*{e_fr:.6f} J plus "
-            f"{control:.6f} J of control listening (bitwise)",
+            f"finish at frame {k} with receive energy exactly {k}*{e_fr:.6f} J, and the "
+            f"simulator adds {control:.6f} J of control listening (bitwise)",
         )
         assert ok, (sim_exact, ana_exact)
 

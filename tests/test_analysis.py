@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from fuotacast import analysis
+from fuotacast import analysis, benchmarks, sim
 from fuotacast.analysis import (
     AnalysisOptions,
     NumericalIntegrationError,
@@ -38,7 +38,7 @@ from fuotacast.channel import (
     mean_interferer_count,
 )
 from fuotacast.config import load_default_spec
-from fuotacast.schemes import ProposedScheme
+from fuotacast.schemes import GroupBasedScheme, ProposedScheme, session_plan
 
 PAYLOAD = 50
 NEEDED = 201.96304849884527
@@ -212,8 +212,8 @@ class TestPoissonPgfIdentity:
         m = mean_interferer_count(dense, tables.interference_radius_m)
         budget = opts.count_tail_mass + opts.quadrature_rtol
         for segment, got in (
-            ("preamble", tables.mean_preamble_success(sf)),
-            ("frame", tables.mean_frame_success(sf)),
+            ("preamble", float(tables.count_weights @ tables.preamble_success_for(sf))),
+            ("frame", float(tables.count_weights @ tables.frame_success_for(sf))),
         ):
             c, q_of_t = _loss(d0, sf, segment, phy, link, dense)
             edges = (0.0, 0.05, 0.25, 1.0, 4.0, 16.0, np.inf)
@@ -293,12 +293,10 @@ class TestDegenerateCases:
         )
         assert float(tab.frame_success_for(7)[0]) == 1.0
         k = 200.0
-        res = analysis.evaluate_fixed_sf(tab, 7, k, phy)
-        assert res.energy_fragments_j == k * phy.rx_energy_frame(7, PAYLOAD)
-        assert res.update_time_s == pytest.approx(
-            k * analysis.duty_slot_s(phy, 7, PAYLOAD, 1.0), rel=1e-12
-        )
-        assert res.attempts_in_final_round == pytest.approx(k, abs=1e-9)
+        energy, time, frames = analysis.evaluate_stream([(7, 10_000)], _costs(tab, phy), k)
+        assert energy[0] == k * phy.rx_energy_frame(7, PAYLOAD)
+        assert time[0] == pytest.approx(k * analysis.duty_slot_s(phy, 7, PAYLOAD, 1.0), rel=1e-12)
+        assert frames[0] == pytest.approx(k, abs=1e-9)
 
 
 class TestSuccessTables:
@@ -383,26 +381,33 @@ class TestSuccessTables:
         tab = analysis.success_tables(500.0, PAYLOAD, phy, link, field, counts=[3])
         s = float(tab.frame_success_for(9)[0])
         scheme = ProposedScheme(9, 12, 300)
-        for scale, round_sf in ((1.0 - 1e-9, 9), (1.0 + 1e-9, 10)):
-            assert _profile(tab, scheme, 300.0 * s * scale, phy)[2][0] == round_sf
+        inside = _ramp(tab, scheme, 300.0 * s * (1.0 - 1e-9), phy)[2][0]
+        spilled = _ramp(tab, scheme, 300.0 * s * (1.0 + 1e-9), phy)[2][0]
+        assert inside < 300.0 < spilled
         with pytest.raises(ValueError):
             ProposedScheme(9, 12, 0)
 
 
-def _profile(tab, scheme, needed, phy):
-    """Per-count (energy, time, finishing round, final-round attempts) of
-    the ramp at the default options."""
-    costs = analysis.ramp_costs(tab, phy, 1.0, "partitioned")
-    return analysis._proposed_profile(tab, scheme, needed, costs, AnalysisOptions())
+def _costs(tab, phy, energy_formula="partitioned"):
+    return analysis.stream_costs(tab, phy, 1.0, energy_formula)
+
+
+def _ramp(tab, scheme, needed, phy, eta_denominator="success", energy_formula="partitioned"):
+    """Per-count (energy, time, frames) of the ramp's session plan, with a
+    frame cap far past any need here."""
+    [(_, segments)] = session_plan(scheme, 10**9)
+    return analysis.evaluate_stream(
+        segments, _costs(tab, phy, energy_formula), needed, eta_denominator
+    )
 
 
 def _reference_ramp(tab, scheme, needed, phy, dc=1.0):
     """Fluid ramp model at a single interferer count: serve w frames per SF
     from min_sf up; the first round whose cumulative expected receptions
     cover the need finishes early, and anything still missing after the
-    full last round spills into an open-ended tail at max_sf (reported as
-    max_sf + 1)."""
-    energy = time = 0.0
+    full last round spills into an open-ended tail at max_sf. Returns
+    (energy, time, frames)."""
+    energy = time = frames = 0.0
     remaining = needed
     for sf in range(scheme.min_sf, scheme.max_sf + 1):
         pre = float(tab.preamble_success_for(sf)[0])
@@ -413,9 +418,10 @@ def _reference_ramp(tab, scheme, needed, phy, dc=1.0):
         slot = analysis.duty_slot_s(phy, sf, PAYLOAD, dc)
         if scheme.frames_per_round * fr >= remaining:
             attempts = remaining / fr
-            return energy + attempts * att, time + attempts * slot, sf, attempts
+            return energy + attempts * att, time + attempts * slot, frames + attempts
         energy += scheme.frames_per_round * att
         time += scheme.frames_per_round * slot
+        frames += scheme.frames_per_round
         remaining -= scheme.frames_per_round * fr
     fr = float(tab.frame_success_for(scheme.max_sf)[0])
     if fr <= 0.0:
@@ -426,7 +432,7 @@ def _reference_ramp(tab, scheme, needed, phy, dc=1.0):
     ) * phy.rx_energy_preamble(scheme.max_sf)
     slot = analysis.duty_slot_s(phy, scheme.max_sf, PAYLOAD, dc)
     attempts = remaining / fr
-    return energy + attempts * att, time + attempts * slot, scheme.max_sf + 1, attempts
+    return energy + attempts * att, time + attempts * slot, frames + attempts
 
 
 class TestProposedClosedForm:
@@ -436,32 +442,33 @@ class TestProposedClosedForm:
         scheme = ProposedScheme(7, 12, w)
         for n in (0, 6):
             tab = analysis.success_tables(d0, PAYLOAD, phy, link, field, counts=[n])
-            want_e, want_t, want_sf, want_att = _reference_ramp(tab, scheme, NEEDED, phy)
-            res = analysis.evaluate_proposed(tab, scheme, NEEDED, phy)
-            assert res.energy_fragments_j == pytest.approx(want_e, rel=1e-9)
-            assert res.update_time_s == pytest.approx(want_t, rel=1e-9)
-            assert res.round_completed == want_sf
-            assert res.attempts_in_final_round == pytest.approx(want_att, rel=1e-9)
+            want_e, want_t, want_frames = _reference_ramp(tab, scheme, NEEDED, phy)
+            energy, time, frames = _ramp(tab, scheme, NEEDED, phy)
+            assert energy[0] == pytest.approx(want_e, rel=1e-9)
+            assert time[0] == pytest.approx(want_t, rel=1e-9)
+            assert frames[0] == pytest.approx(want_frames, rel=1e-9)
 
     def test_deconditioning_is_linear_in_count_weights(self, phy, link, field):
         scheme = ProposedScheme(7, 12, 300)
-        tab_a = analysis.success_tables(700.0, PAYLOAD, phy, link, field, counts=[0])
-        tab_b = analysis.success_tables(700.0, PAYLOAD, phy, link, field, counts=[8])
-        tab_ab = analysis.success_tables(700.0, PAYLOAD, phy, link, field, counts=[0, 8])
-        e_a = analysis.evaluate_proposed(tab_a, scheme, NEEDED, phy).energy_fragments_j
-        e_b = analysis.evaluate_proposed(tab_b, scheme, NEEDED, phy).energy_fragments_j
-        e_ab = analysis.evaluate_proposed(tab_ab, scheme, NEEDED, phy).energy_fragments_j
+        energies = []
+        for counts in ([0], [8], [0, 8]):
+            tab = analysis.success_tables(700.0, PAYLOAD, phy, link, field, counts=counts)
+            energies.append(float(tab.count_weights @ _ramp(tab, scheme, NEEDED, phy)[0]))
+        e_a, e_b, e_ab = energies
         assert e_ab == pytest.approx(0.5 * (e_a + e_b), rel=1e-12)
 
     def test_completion_round_wrappers(self, phy, link, field):
-        # the finishing round of the per-count profile, through _profile
+        # the frames of the per-count profile: a round big enough for the
+        # whole need finishes at SF7
         tab = analysis.success_tables(300.0, PAYLOAD, phy, link, field, counts=[0])
+        s = [float(tab.frame_success_for(sf)[0]) for sf in range(7, 13)]
         big_w = ProposedScheme(7, 12, 100_000)
-        assert _profile(tab, big_w, 202.0, phy)[2][0] == 7
-        # one frame per round cannot cover the need inside the nominal
-        # rounds, so completion lands in the open-ended tail
+        assert _ramp(tab, big_w, 202.0, phy)[2][0] == pytest.approx(202.0 / s[0], rel=1e-12)
+        # one frame per SF cannot cover the need, so completion lands in
+        # the open-ended last segment at SF12
         tiny_w = ProposedScheme(7, 12, 1)
-        assert _profile(tab, tiny_w, 202.0, phy)[2][0] == 13
+        want = 5.0 + (202.0 - sum(s[:5])) / s[5]
+        assert _ramp(tab, tiny_w, 202.0, phy)[2][0] == pytest.approx(want, rel=1e-12)
 
     def test_final_round_attempts_hand_case(self, phy, link, field):
         tab = analysis.success_tables(300.0, PAYLOAD, phy, link, field, counts=[0])
@@ -472,112 +479,116 @@ class TestProposedClosedForm:
         assert w * s7 < needed < w * (s7 + s8)
         scheme = ProposedScheme(7, 12, w)
         want = (needed - w * s7) / s8
-        got = float(_profile(tab, scheme, needed, phy)[3][0])
-        assert got == pytest.approx(want, rel=1e-9)
+        got = float(_ramp(tab, scheme, needed, phy)[2][0])
+        assert got == pytest.approx(w + want, rel=1e-9)
 
     def test_unreachable_recipient_raises(self, phy, link, field):
         tab = analysis.success_tables(80_000.0, PAYLOAD, phy, link, field, counts=[0])
         with pytest.raises(UnreachableRecipientError) as exc:
-            analysis.evaluate_proposed(tab, ProposedScheme(7, 12, 300), 202.0, phy)
+            _ramp(tab, ProposedScheme(7, 12, 300), 202.0, phy)
         assert "cannot be reached" in str(exc.value)
 
     def test_option_variants_differ_but_stay_finite(self, phy, link, field):
         tab = analysis.success_tables(900.0, PAYLOAD, phy, link, field)
         scheme = ProposedScheme(7, 12, 300)
-        base = analysis.evaluate_proposed(tab, scheme, 202.0, phy)
-        printed = analysis.evaluate_proposed(
-            tab, scheme, 202.0, phy,
-            options=AnalysisOptions(energy_formula="as_printed"),
-        )
-        literal = analysis.evaluate_proposed(
-            tab, scheme, 202.0, phy,
-            options=AnalysisOptions(eta_denominator="failure_literal"),
-        )
-        assert printed.energy_fragments_j > base.energy_fragments_j
-        assert literal.update_time_s != base.update_time_s
-        for r in (base, printed, literal):
-            assert math.isfinite(r.energy_fragments_j)
-            assert math.isfinite(r.update_time_s)
+        base = _ramp(tab, scheme, 202.0, phy)
+        printed = _ramp(tab, scheme, 202.0, phy, energy_formula="as_printed")
+        literal = _ramp(tab, scheme, 202.0, phy, eta_denominator="failure_literal")
+        w = tab.count_weights
+        assert w @ printed[0] > w @ base[0]
+        assert w @ literal[1] != w @ base[1]
+        for energy, time, _ in (base, printed, literal):
+            assert math.isfinite(w @ energy)
+            assert math.isfinite(w @ time)
 
-    def test_control_energy_rides_along(self, phy, link, field):
-        tab = analysis.success_tables(400.0, PAYLOAD, phy, link, field, counts=[0])
-        scheme = ProposedScheme(7, 12, 300)
-        res = analysis.evaluate_proposed(tab, scheme, 202.0, phy, control_energy=1.5)
-        assert res.energy_control_j == 1.5
-        assert res.energy_total_j == pytest.approx(res.energy_fragments_j + 1.5)
+    def test_stream_past_its_frame_budget_is_unreachable(self, phy, link, field):
+        tab = analysis.success_tables(600.0, PAYLOAD, phy, link, field)
+        costs = _costs(tab, phy)
+        frames = analysis.evaluate_stream([(9, 10**9)], costs, NEEDED)[2]
+        budget = float(tab.count_weights @ frames)
+        analysis.evaluate_stream([(9, math.ceil(budget))], costs, NEEDED)
+        with pytest.raises(UnreachableRecipientError):
+            analysis.evaluate_stream([(9, math.floor(budget))], costs, NEEDED)
 
 
 class TestFixedSfClosedForm:
     def test_attempts_identity(self, phy, link, field):
         tab = analysis.success_tables(650.0, PAYLOAD, phy, link, field)
-        res = analysis.evaluate_fixed_sf(tab, 11, NEEDED, phy)
+        energy, time, frames = analysis.evaluate_stream([(11, 10**9)], _costs(tab, phy), NEEDED)
         per_count = NEEDED / tab.frame_success_for(11)
         slot = analysis.duty_slot_s(phy, 11, PAYLOAD, 1.0)
         e_att = tab.attempt_energy_by_count(11, phy, "partitioned")
-        modal = int(np.argmax(tab.count_weights))
-        assert res.update_time_s == pytest.approx(
-            float(tab.count_weights @ per_count) * slot, rel=1e-12
-        )
-        assert res.energy_fragments_j == pytest.approx(
-            float(tab.count_weights @ (per_count * e_att)), rel=1e-12
-        )
-        assert res.attempts_in_final_round == pytest.approx(
-            float(per_count[modal]), rel=1e-12
-        )
-        assert res.round_completed == 11
+        assert np.array_equal(frames, per_count)
+        assert np.array_equal(time, per_count * slot)
+        assert np.array_equal(energy, per_count * e_att)
 
     def test_out_of_range_raises(self, phy, link, field):
         far = analysis.success_tables(80_000.0, PAYLOAD, phy, link, field, counts=[0])
         with pytest.raises(UnreachableRecipientError):
-            analysis.evaluate_fixed_sf(far, 7, 202.0, phy)
+            analysis.evaluate_stream([(7, 10**9)], _costs(far, phy), 202.0)
         near = analysis.success_tables(1000.0, PAYLOAD, phy, link, field, counts=[0])
-        assert analysis.evaluate_fixed_sf(near, 12, 202.0, phy).update_time_s > 0
+        assert analysis.evaluate_stream([(12, 10**9)], _costs(near, phy), 202.0)[1][0] > 0
+
+
+def _assign(spec, distances, criterion="energy"):
+    tables = benchmarks.build_tables(spec, distances)
+    return benchmarks._group_assignment(
+        benchmarks._costs(spec, tables), spec, GroupBasedScheme(criterion)
+    )
 
 
 class TestGroupAssignment:
-    def test_costs_drive_assignment(self, phy, link, field):
-        tab = analysis.success_tables(500.0, PAYLOAD, phy, link, field)
-        costs = {
-            sf: analysis.group_cost(tab, sf, 202.0, phy, "energy")
-            for sf in range(7, 13)
-        }
-        best = min(costs, key=lambda sf: (costs[sf], sf))
-        assert analysis.assign_group_sf(tab, 202.0, phy, "energy") == best
+    def test_costs_drive_assignment(self, spec):
+        # a brute-force argmin over hand-computed mean costs, ties to the
+        # lower SF, among the SFs within the stream's frame budget
+        needed = float(spec.firmware.fragments)
+        cap = sim.attempts_cap(spec, benchmarks.scheme_code(spec, GroupBasedScheme()))
+        distances = (100.0, 500.0, 1000.0)
+        tables = benchmarks.build_tables(spec, distances)
+        for criterion in ("energy", "latency"):
+            got = _assign(spec, distances, criterion)
+            for d, tab in tables.items():
+                costs = {}
+                for sf in range(7, 13):
+                    s = float(tab.count_weights @ tab.frame_success_for(sf))
+                    if s <= 0.0 or needed / s > cap:
+                        continue
+                    if criterion == "energy":
+                        e_att = tab.attempt_energy_by_count(sf, spec.phy, "partitioned")
+                        costs[sf] = needed / s * float(tab.count_weights @ e_att)
+                    else:
+                        slot = analysis.duty_slot_s(spec.phy, sf, PAYLOAD, 1.0)
+                        costs[sf] = needed / s * slot
+                assert got[d] == min(costs, key=lambda sf: (costs[sf], sf)), (criterion, d)
 
-    def test_latency_differs_from_energy_somewhere(self, phy, link, field):
-        picks = []
-        for d0 in (100.0, 400.0, 700.0, 1000.0):
-            tab = analysis.success_tables(d0, PAYLOAD, phy, link, field)
-            picks.append(
-                (
-                    analysis.assign_group_sf(tab, 202.0, phy, "energy"),
-                    analysis.assign_group_sf(tab, 202.0, phy, "latency"),
-                )
-            )
-        assert any(e != l for e, l in picks)
-        assert all(7 <= e <= 12 and 7 <= l <= 12 for e, l in picks)
+    def test_ties_go_to_the_lower_sf(self, spec, monkeypatch):
+        def flat(segments, costs, needed, eta_denominator):
+            # every SF but SF7 costs the same
+            sf = segments[0][0]
+            if sf == 7:
+                raise UnreachableRecipientError(costs.distance_m, needed)
+            return (np.ones(1),) * 3
 
-    def test_rejects_unknown_criterion(self, phy, link, field):
-        tab = analysis.success_tables(500.0, PAYLOAD, phy, link, field, counts=[0])
-        with pytest.raises(ValueError):
-            analysis.group_cost(tab, 9, 202.0, phy, "both")
+        monkeypatch.setattr(analysis, "evaluate_stream", flat)
+        assert _assign(spec, [500.0]) == {500.0: 8}
 
-    def test_attempt_cap_excludes_slow_groups(self, phy, link, field):
-        tab = analysis.success_tables(1000.0, PAYLOAD, phy, link, field)
-        unlimited = analysis.assign_group_sf(tab, 202.0, phy, "energy")
-        assert 7 <= unlimited <= 12
+    def test_latency_differs_from_energy_somewhere(self, spec):
+        distances = (100.0, 400.0, 700.0, 1000.0)
+        energy = _assign(spec, distances, "energy")
+        latency = _assign(spec, distances, "latency")
+        assert any(energy[d] != latency[d] for d in distances)
+        assert all(7 <= energy[d] <= 12 and 7 <= latency[d] <= 12 for d in distances)
+
+    def test_attempt_cap_excludes_slow_groups(self, spec):
+        assert 7 <= _assign(spec, [1000.0])[1000.0] <= 12
         # a cap below the needed attempt count at every SF leaves nothing
-        with pytest.raises(UnreachableRecipientError):
-            analysis.assign_group_sf(
-                tab, 202.0, phy, "energy", max_expected_attempts=1.0
-            )
+        tight = dataclasses.replace(
+            spec, sim=dataclasses.replace(spec.sim, transmission_cap_factor=0.001)
+        )
+        assert _assign(tight, [1000.0]) == {1000.0: None}
 
-    def test_assignment_map_marks_unreachable(self, phy, link, field):
-        tables = {
-            d: analysis.success_tables(d, PAYLOAD, phy, link, field)
-            for d in (300.0, 80_000.0)
-        }
-        mapping = analysis.assign_groups(tables, 202.0, phy, "energy")
+    def test_assignment_map_marks_unreachable(self, spec):
+        mapping = _assign(spec, [300.0, 80_000.0])
         assert mapping[300.0] is not None
         assert mapping[80_000.0] is None
 

@@ -22,7 +22,16 @@ from fuotacast.benchmarks import (
     SweepRow,
 )
 from fuotacast.config import load_default_spec
-from fuotacast.schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme
+from fuotacast.schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme, session_plan
+
+def _costs(spec, tab):
+    return benchmarks._costs(spec, {tab.distance_m: tab})[tab.distance_m]
+
+
+def _plan(scheme, cap):
+    [(_, segments)] = session_plan(scheme, cap)
+    return segments
+
 
 SUITE_LABELS = ["proposed", "fsf-10", "fsf-11", "fsf-12", "gb-e", "gb-l"]
 
@@ -116,6 +125,7 @@ class TestAgainstDirectEvaluation:
         rows, _ = suite
         scheme = next(s for s in spec.schemes if isinstance(s, ProposedScheme))
         needed = spec.firmware.code.expected_fragments()
+        segments = _plan(scheme, sim.attempts_cap(spec, spec.firmware.code))
         e_norm = analysis.normalization_energy_j(
             spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
         )
@@ -124,19 +134,17 @@ class TestAgainstDirectEvaluation:
                 d, spec.firmware.fragment_payload_bytes, spec.phy,
                 spec.network.link, spec.network.interferers, options=spec.analysis,
             )
-            res = analysis.evaluate_proposed(
-                tab, scheme, needed, spec.phy,
-                duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-                options=spec.analysis,
+            energy, time, _ = analysis.evaluate_stream(
+                segments, _costs(spec, tab), needed, spec.analysis.eta_denominator
             )
             row = next(
                 r for r in rows if r.scheme == "proposed" and r.distance_m == d
             )
             assert row.ee_norm_analysis == pytest.approx(
-                res.energy_fragments_j / e_norm, rel=1e-12
+                tab.count_weights @ energy / e_norm, rel=1e-12
             )
             assert row.dt_hours_analysis == pytest.approx(
-                res.update_time_s / 3600.0, rel=1e-12
+                tab.count_weights @ time / 3600.0, rel=1e-12
             )
 
     def test_baselines_use_ideal_decoder(self, spec, suite):
@@ -151,13 +159,11 @@ class TestAgainstDirectEvaluation:
             spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
         )
         row = next(r for r in rows if r.scheme == "fsf-10" and r.distance_m == 100.0)
-        ideal = analysis.evaluate_fixed_sf(
-            tab, 10, float(spec.firmware.fragments), spec.phy,
-            duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-            options=spec.analysis,
-        )
+        energy = analysis.evaluate_stream(
+            [(10, 10**9)], _costs(spec, tab), float(spec.firmware.fragments)
+        )[0]
         assert row.ee_norm_analysis == pytest.approx(
-            ideal.energy_fragments_j / e_norm, rel=1e-12
+            tab.count_weights @ energy / e_norm, rel=1e-12
         )
 
     def test_scheme_code_selection(self, spec):
@@ -167,6 +173,25 @@ class TestAgainstDirectEvaluation:
         assert basecode.mode == "ideal"
         assert basecode.fragments == spec.firmware.fragments
         assert basecode.expected_fragments() == float(spec.firmware.fragments)
+
+
+class TestOnePlanEvaluator:
+    @pytest.mark.parametrize("eta_denominator", ["success", "failure_literal"])
+    def test_one_sf_ramp_matches_fixed_sf(self, eta_denominator):
+        # with an ideal code both schemes need the same fragments, and a
+        # ramp from SF 11 to SF 11 is one open-ended SF 11 stream whatever
+        # its round length
+        spec = load_default_spec({
+            "firmware": {"code": {"mode": "ideal"}},
+            "analysis": {"eta_denominator": eta_denominator},
+        })
+        costs = benchmarks._costs(spec, benchmarks.build_tables(spec, [200.0, 600.0, 1000.0]))
+        want = benchmarks._analysis_metrics(costs, spec, FixedSfScheme(11))
+        assert not any(math.isnan(e) for e, _ in want.values())
+        cap = sim.attempts_cap(spec, spec.firmware.code)
+        for w in (1, 300, cap):
+            got = benchmarks._analysis_metrics(costs, spec, ProposedScheme(11, 11, w))
+            assert got == want, w
 
 
 class TestUnreachableHandling:
@@ -192,23 +217,20 @@ class TestUnreachableHandling:
                 "network": {"path_loss_exponent": 3.5},
             }
         )
-        scheme = spec.schemes[0]
         cap = sim.attempts_cap(spec, spec.firmware.code)
+        # the same rounds with no frame cap on the last segment
+        uncapped = _plan(spec.schemes[0], 10**12)
         needed = spec.firmware.code.expected_fragments()
         rows, summaries = benchmarks.run_suite(spec, "analysis")
         reachable = {(r.scheme, r.distance_m): r.reachable for r in rows}
         for d, tab in benchmarks.build_tables(spec).items():
             try:
-                res = analysis.evaluate_proposed(
-                    tab, scheme, needed, spec.phy,
-                    duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-                    options=spec.analysis,
-                )
+                frames = analysis.evaluate_stream(uncapped, _costs(spec, tab), needed)[2]
             except analysis.UnreachableRecipientError:
                 # SF 12 delivers nothing at some counts: the stream never ends
                 assert not reachable[("proposed", d)], d
                 continue
-            assert reachable[("proposed", d)] == (res.expected_frames <= cap), d
+            assert reachable[("proposed", d)] == (tab.count_weights @ frames <= cap), d
         assert [d for (label, d), ok in reachable.items() if label == "proposed" and ok] == [
             100.0
         ]
@@ -219,12 +241,22 @@ class TestUnreachableHandling:
         tab = benchmarks.build_tables(spec, [500.0])[500.0]
         scheme = ProposedScheme(min_sf=7, max_sf=12, frames_per_round=300)
         needed = spec.firmware.code.expected_fragments()
-        costs = analysis.ramp_costs(tab, spec.phy, 1.0, spec.analysis.energy_formula)
-        _, _, rounds, eta = analysis._proposed_profile(tab, scheme, needed, costs, spec.analysis)
-        res = analysis.proposed_outcome(tab, scheme, needed, costs, options=spec.analysis)
-        want = tab.count_weights @ (300.0 * (rounds - 7) + eta)
-        assert res.expected_frames == pytest.approx(float(want), rel=1e-12)
-        assert needed < res.expected_frames < sim.attempts_cap(spec, spec.firmware.code)
+        cap = sim.attempts_cap(spec, spec.firmware.code)
+        frames = analysis.evaluate_stream(_plan(scheme, cap), _costs(spec, tab), needed)[2]
+        # per count: 300 frames for every round short of the need, then the
+        # sliver of the finishing round (open-ended at SF 12)
+        want = []
+        for col in range(tab.count_values.size):
+            spent, received = 0.0, 0.0
+            for sf in range(7, 13):
+                s = float(tab.frame_success_for(sf)[col])
+                if sf == 12 or received + 300.0 * s >= needed:
+                    want.append(spent + (needed - received) / s)
+                    break
+                spent, received = spent + 300.0, received + 300.0 * s
+        assert frames == pytest.approx(np.array(want), rel=1e-12)
+        mean = float(tab.count_weights @ frames)
+        assert needed < mean < cap
 
 
 class TestGroupStacking:
@@ -237,19 +269,19 @@ class TestGroupStacking:
         phy, dc = spec.phy, spec.network.duty_cycle_max_percent
         tables = benchmarks.build_tables(spec)
 
-        assignment = {
-            d: analysis.assign_group_sf(
-                tab, needed, phy, "energy",
-                duty_cycle_max_percent=dc, options=spec.analysis,
-                max_expected_attempts=cap,
-            )
-            for d, tab in tables.items()
-        }
+        def mean_success(d, sf):
+            return float(tables[d].count_weights @ tables[d].frame_success_for(sf))
+
+        assignment = benchmarks._group_assignment(benchmarks._costs(spec, tables), spec, scheme)
+        assert all(
+            sf is not None and needed / mean_success(d, sf) <= cap
+            for d, sf in assignment.items()
+        )
         groups = {}
         for d, sf in assignment.items():
             groups.setdefault(sf, []).append(d)
         duration = {
-            sf: needed / tables[max(ds)].mean_frame_success(sf)
+            sf: needed / mean_success(max(ds), sf)
             * analysis.duty_slot_s(phy, sf, spec.firmware.fragment_payload_bytes, dc)
             for sf, ds in groups.items()
         }
@@ -258,7 +290,7 @@ class TestGroupStacking:
         for d, sf in assignment.items():
             wait = sum(t for s, t in duration.items() if s < sf)
             own = (
-                needed / tables[d].mean_frame_success(sf)
+                needed / mean_success(d, sf)
                 * analysis.duty_slot_s(phy, sf, spec.firmware.fragment_payload_bytes, dc)
             )
             assert gb_rows[d].dt_hours_analysis == pytest.approx(
@@ -309,14 +341,12 @@ class TestSweepGrid:
         cap = sim.attempts_cap(spec, spec.firmware.code)
         worst = 0.0
         for tab in benchmarks.build_tables(spec).values():
-            costs = analysis.ramp_costs(tab, spec.phy, 1.0, spec.analysis.energy_formula)
+            costs = _costs(spec, tab)
             for min_sf in spec.sweep.min_sf:
                 for w in spec.sweep.frames_per_round:
                     scheme = ProposedScheme(min_sf=min_sf, max_sf=12, frames_per_round=w)
-                    res = analysis.proposed_outcome(
-                        tab, scheme, needed, costs, options=spec.analysis
-                    )
-                    worst = max(worst, res.expected_frames)
+                    frames = analysis.evaluate_stream(_plan(scheme, cap), costs, needed)[2]
+                    worst = max(worst, float(tab.count_weights @ frames))
         assert worst < cap / 1.5
 
 
@@ -469,7 +499,6 @@ class TestSimulationSuite:
 
         monkeypatch.setattr(analysis, "success_tables", real)
         for scheme, res in sessions:
-            code = benchmarks.scheme_code(spec, scheme)
             for o in res.outcomes:
                 # the nearest lattice point, ties to the lower one
                 d = float(lattice[np.argmin(np.abs(lattice - o.distance_m))])
@@ -477,13 +506,6 @@ class TestSimulationSuite:
                     d, spec.firmware.fragment_payload_bytes, spec.phy,
                     spec.network.link, spec.network.interferers, options=spec.analysis,
                 )
-                try:
-                    want = analysis.assign_group_sf(
-                        tab, code.expected_fragments(), spec.phy, scheme.criterion,
-                        duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-                        options=spec.analysis,
-                        max_expected_attempts=sim.attempts_cap(spec, code),
-                    )
-                except analysis.UnreachableRecipientError:
-                    want = None
+                costs = benchmarks._costs(spec, {d: tab})
+                want = benchmarks._group_assignment(costs, spec, scheme)[d]
                 assert o.assigned_sf == want, (scheme.label, o.distance_m)

@@ -158,6 +158,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_default_spec({"mode": "quick"})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            load_default_spec({"seed": -1})
+        assert "seed must be nonnegative" in str(exc.value)
+
     def test_location_entry_must_be_complete(self):
         with pytest.raises(ConfigError) as exc:
             load_default_spec(
@@ -386,6 +391,23 @@ class TestErrorExits:
         rc = cli.main(["analyze", "--config", str(cfg)])
         assert rc == 2
         assert "did you mean 'network'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--runs", "0"], "--runs must be at least 1"),
+            (["lifetime", "--mode", "sim", "--runs", "0"], "--runs must be at least 1"),
+            (["simulate", "--seed", "-5"], "seed must be nonnegative"),
+            (["lifetime", "--mode", "sim", "--seed", "-1"], "seed must be nonnegative"),
+            (["analyze", "--seed", "-5"], "seed must be nonnegative"),
+        ],
+    )
+    def test_bad_override_exits_2_before_any_output(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        rc = cli.main([*argv, "--config", str(BASELINE), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quadrature_breakdown_exits_3(self, tmp_path, capsys):
         cfg = _write(

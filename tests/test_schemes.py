@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuotacast import analysis, benchmarks, sim
+from fuotacast import benchmarks, sim
 from fuotacast.config import load_default_spec
 from fuotacast.schemes import (
     FixedSfScheme,
@@ -137,14 +137,13 @@ class TestSessionSchedule:
 class TestGroupAssignmentHelpers:
     def test_wrappers_match_direct_assignment(self, spec):
         # every group-based run, lifetime --mode sim's single distance
-        # included, takes its SFs from benchmarks._group_assignment
-        tables = benchmarks.build_tables(spec, [500.0])
+        # included, takes its SFs from benchmarks._group_assignment, which
+        # assigns each distance on its own table alone
+        grid = benchmarks._costs(spec, benchmarks.build_tables(spec))
+        single = benchmarks._costs(spec, benchmarks.build_tables(spec, [500.0]))
         for criterion in ("energy", "latency"):
             scheme = GroupBasedScheme(criterion)
-            code = benchmarks.scheme_code(spec, scheme)
-            want = analysis.assign_group_sf(
-                tables[500.0], code.expected_fragments(), spec.phy, criterion,
-                duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-                options=spec.analysis, max_expected_attempts=sim.attempts_cap(spec, code),
-            )
-            assert benchmarks._group_assignment(tables, spec, scheme) == {500.0: want}
+            want = benchmarks._group_assignment(grid, spec, scheme)[500.0]
+            assert 7 <= want <= 12
+            assert benchmarks._group_assignment(single, spec, scheme) == {500.0: want}
+        assert benchmarks._group_assignment(grid, spec, ProposedScheme()) is None

@@ -19,7 +19,7 @@ from scipy import stats
 
 from fuotacast import analysis, sim
 from fuotacast.config import load_default_spec
-from fuotacast.schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme
+from fuotacast.schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme, session_plan
 
 PAYLOAD = 50
 
@@ -265,11 +265,11 @@ class TestAgainstClosedForms:
             500.0, PAYLOAD, spec.phy, spec.network.link, spec.network.interferers,
             options=spec.analysis,
         )
-        want = analysis.evaluate_proposed(
-            tab, scheme, needed, spec.phy,
-            duty_cycle_max_percent=spec.network.duty_cycle_max_percent,
-            options=spec.analysis,
+        [(_, segments)] = session_plan(scheme, sim.attempts_cap(spec, spec.firmware.code))
+        costs = analysis.stream_costs(
+            tab, spec.phy, spec.network.duty_cycle_max_percent, spec.analysis.energy_formula
         )
+        energy, time, _ = analysis.evaluate_stream(segments, costs, needed)
         rng_master = np.random.SeedSequence(2024).spawn(60)
         energies, times = [], []
         for child in rng_master:
@@ -281,8 +281,8 @@ class TestAgainstClosedForms:
                 if o.completed:
                     energies.append(o.energy_fragments_j)
                     times.append(o.completion_time_s)
-        assert np.mean(energies) == pytest.approx(want.energy_fragments_j, rel=0.05)
-        assert np.mean(times) == pytest.approx(want.update_time_s, rel=0.05)
+        assert np.mean(energies) == pytest.approx(tab.count_weights @ energy, rel=0.05)
+        assert np.mean(times) == pytest.approx(tab.count_weights @ time, rel=0.05)
 
 
 class TestRunExperiment:
