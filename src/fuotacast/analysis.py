@@ -46,6 +46,20 @@ class UnreachableRecipientError(RuntimeError):
         self.deficit = deficit
 
 
+class LossFreeRoundError(ValueError):
+    """``eta_denominator="failure_literal"`` met a finishing segment that
+    never loses a frame, so its failure probability cannot divide."""
+
+    def __init__(self, distance_m: float, sf: int):
+        super().__init__(
+            f"eta_denominator 'failure_literal' divides by the failure probability"
+            f" of the final segment, which is 0 at SF{sf} for the recipient at"
+            f" {distance_m:.1f} m; use 'success' for a loss-free link"
+        )
+        self.distance_m = distance_m
+        self.sf = sf
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
     """Switches for the two places where the printed closed forms disagree
@@ -436,7 +450,8 @@ def evaluate_stream(
     A count finishes in the first segment whose cumulative expected
     receptions cover ``needed``; there it pays the remaining fragments
     divided by that segment's success probability, or by its failure
-    probability under ``eta_denominator="failure_literal"``. Raises
+    probability under ``eta_denominator="failure_literal"``, which raises
+    :class:`LossFreeRoundError` where that probability is 0. Raises
     :class:`UnreachableRecipientError` when the last SF delivers nothing at
     some count, or when the deconditioned expected frames exceed the
     stream's total budget, where the simulator abandons the stream.
@@ -469,11 +484,9 @@ def evaluate_stream(
     if dead.any():
         raise UnreachableRecipientError(costs.distance_m, float(remaining[dead].max()))
     denom = s_final if eta_denominator == "success" else 1.0 - s_final
-    if (denom <= 0.0).any():
-        raise ValueError(
-            "final-round attempt denominator vanished; the literal failure-rate"
-            " form cannot describe a loss-free final round"
-        )
+    vanished = np.flatnonzero(denom <= 0.0)
+    if vanished.size:
+        raise LossFreeRoundError(costs.distance_m, segments[block[vanished[0]]][0])
     eta = remaining / denom
 
     energy = started(e_att)[block, col] + eta * e_att[block, col]

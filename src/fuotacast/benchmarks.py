@@ -378,16 +378,14 @@ def _location_energy_sim(
         assignment = _group_assignment(costs, spec, scheme)
         if assignment[distance_m] is None:
             raise analysis.UnreachableRecipientError(distance_m, code.expected_fragments())
-    distances = np.full(spec.layout.recipients, distance_m)
-    energies = []
-    children = np.random.SeedSequence(seed).spawn(runs)
-    for child in children:
-        rng = np.random.default_rng(child)
-        session = sim.run_session(
-            spec, scheme, rng, group_assignment=assignment, distances=distances, code=code
+    energies = np.concatenate([
+        batch.energy_fragments_j[batch.completed]
+        for batch in sim.session_batches(
+            spec, scheme, runs, seed, group_assignment=assignment,
+            distances=np.full(spec.layout.recipients, distance_m), code=code,
         )
-        energies.extend(session.energy_fragments_j[session.completed])
-    if not energies:
+    ])
+    if energies.size == 0:
         return float("nan")
     return float(np.mean(energies))
 

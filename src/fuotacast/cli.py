@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import NumericalIntegrationError
+from .analysis import LossFreeRoundError, NumericalIntegrationError
 from .config import ConfigError, ExperimentSpec, load_config
 
 SCHEMA_VERSION = 1
@@ -380,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, LossFreeRoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalIntegrationError as exc:

@@ -25,21 +25,36 @@ count and the dirty count within it binomially, and simulates only the
 detected dirty frames: fading conditioned above the threshold, a first
 overlap at a time conditioned into the frame plus a Poisson remainder, and
 each overlap's SF, source interferer, capture verdict and preamble share.
-An interferer's distance is drawn the first time an overlap names it.
-The frames of a pass are exchangeable, so a recipient still ``r``
-receptions short completes at the ``r``-th of its receptions placed
-uniformly over the pass (a negative-hypergeometric draw), and its full
-listens before that point are a draw without replacement. The cost grows
-with detected dirty frames plus recipients times passes; in a dense field
-nearly every frame is dirty and it approaches one simulated frame per
-detected recipient-frame.
+The detected dirty frames of a pass are judged in blocks of at most
+``VERDICT_BLOCK`` frames, so a pass's temporaries stay bounded however
+many recipients it serves. The frames of a pass are exchangeable, so a
+recipient still ``r`` receptions short completes at the ``r``-th of its
+receptions placed uniformly over the pass (a negative-hypergeometric
+draw), and its full listens before that point are a draw without
+replacement. The cost grows with detected dirty frames plus recipients
+times passes; in a dense field nearly every frame is dirty and it
+approaches one simulated frame per detected recipient-frame.
+
+Sessions are simulated in batches that share one state. Recipients are
+independent given their session's timeline, so a batch stacks the
+recipients of all its sessions, each tagged with its session index, and
+keeps only the timeline per session: every session starts each segment at
+its own time and ends it at the budget or at its own last member's
+completing frame. A batch holds ``max(1, BATCH_RECIPIENTS // recipients)``
+sessions, a rule on the config alone, so reruns with one seed repeat
+bit for bit.
+
+An interferer's distance is a counter-based draw: SplitMix64 (Steele, Lea
+& Flood, OOPSLA 2014) of the batch's key plus the interferer's slot. The
+same interferer named twice has the same distance, and nothing is stored
+per interferer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -49,6 +64,16 @@ from .config import ExperimentSpec
 from .fec import RatelessModel
 from .phy import ALL_SFS, SF_MIN, PhyProfile
 from .schemes import Scheme, session_plan
+
+# recipients simulated together in one batch state
+BATCH_RECIPIENTS = 1024
+# detected overlapped frames judged together in one block of a pass
+VERDICT_BLOCK = 4096
+
+# SplitMix64's state increment and output-mixing multipliers
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -69,13 +94,17 @@ class RecipientOutcome:
 
 @dataclass(frozen=True, eq=False)
 class SessionResult:
-    """One session: per-recipient arrays plus the stream totals.
+    """A batch of sessions: per-recipient arrays, each recipient tagged
+    with its ``session`` index, plus the per-session timelines.
 
     ``assigned_sf`` is nan for recipients without a group SF (every
     recipient of a non-group scheme). ``outcomes`` gives the same data as
-    one :class:`RecipientOutcome` per recipient.
+    one :class:`RecipientOutcome` per recipient. ``transmissions`` is the
+    frames sent summed over the batch's sessions; ``duration_s`` and
+    ``incomplete`` hold one entry per session.
     """
 
+    session: np.ndarray
     distances: np.ndarray
     fragments_needed: np.ndarray
     fragments_received: np.ndarray
@@ -87,8 +116,8 @@ class SessionResult:
     attempts_preamble_only: np.ndarray
     assigned_sf: np.ndarray
     transmissions: int
-    duration_s: float
-    incomplete: bool
+    duration_s: np.ndarray
+    incomplete: np.ndarray
 
     @property
     def outcomes(self) -> tuple[RecipientOutcome, ...]:
@@ -157,19 +186,32 @@ class _SfTables:
             self.capture[row] = [phy.capture_ratio(s, j) for j in ALL_SFS]
 
 
-class _SessionState:
-    """Mutable per-recipient bookkeeping for one session."""
+def _counter_uniform(key: np.uint64, slots: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) value of each slot: the ``slot + 1``-th output of a
+    SplitMix64 generator seeded with ``key``, top 53 bits."""
+    z = key + (slots.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
 
-    def __init__(self, d_alpha: np.ndarray, thresholds: np.ndarray,
-                 int_counts: np.ndarray, radius_m: float, path_loss_exponent: float,
-                 detect_c: np.ndarray):
+
+class _SessionState:
+    """Mutable per-recipient bookkeeping for a batch of sessions; recipient
+    ``i`` belongs to session ``session[i]``."""
+
+    def __init__(self, sessions: int, session: np.ndarray, d_alpha: np.ndarray,
+                 thresholds: np.ndarray, int_counts: np.ndarray, radius_m: float,
+                 path_loss_exponent: float, detect_c: np.ndarray, key: np.uint64):
         n = d_alpha.size
+        self.sessions = sessions
+        self.session = session
         self.d_alpha = d_alpha
         self.thresholds = thresholds
         self.int_counts = int_counts
+        # recipient i's interferers hold slots int_offsets[i] + 0 .. int_counts[i] - 1
         self.int_offsets = np.cumsum(int_counts) - int_counts
-        # interferer distances**alpha, drawn when an overlap first names one
-        self.int_u_alpha = np.full(int(int_counts.sum()), np.nan)
+        self.key = np.uint64(key)
         self.radius_alpha = radius_m**path_loss_exponent
         self.half_alpha = path_loss_exponent / 2.0
         self.detect_c = detect_c
@@ -180,17 +222,10 @@ class _SessionState:
         self.full_listens = np.zeros((n, len(ALL_SFS)), dtype=np.int64)
         self.preamble_listens = np.zeros((n, len(ALL_SFS)), dtype=np.int64)
 
-    def interferer_u_alpha(self, rng: np.random.Generator, slots: np.ndarray) -> np.ndarray:
-        """distance**alpha of the interferers at ``slots``, drawing from the
-        in-disc radial law those not named before."""
-        u_alpha = self.int_u_alpha[slots]
-        fresh = np.isnan(u_alpha)
-        if fresh.any():
-            draws = rng.random(int(fresh.sum()))
-            self.int_u_alpha[slots[fresh]] = self.radius_alpha * draws**self.half_alpha
-            # an interferer named twice keeps one of its draws
-            u_alpha = self.int_u_alpha[slots]
-        return u_alpha
+    def interferer_u_alpha(self, slots: np.ndarray) -> np.ndarray:
+        """distance**alpha of the interferers at ``slots``, from the in-disc
+        radial law; a slot always gives the same value."""
+        return self.radius_alpha * _counter_uniform(self.key, slots) ** self.half_alpha
 
 
 def _dirty_frame_verdicts(
@@ -198,37 +233,43 @@ def _dirty_frame_verdicts(
     state: _SessionState,
     tables: _SfTables,
     row: int,
-    g: np.ndarray,
+    active: np.ndarray,
     rate: np.ndarray,
     p_dirty: np.ndarray,
+    owner: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(received, preamble heard) for detected frames of recipients ``g``
-    that overlap at least one interferer frame; ``rate`` is each frame's
-    mean overlap count and ``p_dirty`` its chance of at least one."""
-    n = g.size
-    if n == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-    # exponential fading conditioned on clearing the detection threshold
-    fading = state.detect_c[g, row] + rng.exponential(1.0, size=n)
-    # the first overlap falls at T, conditioned into [0, 1); the rest of
-    # the frame holds a Poisson(rate * (1 - T)) number of further overlaps
-    rest = np.maximum(rate + np.log1p(-rng.random(n) * p_dirty), 0.0)
-    k = 1 + rng.poisson(rest)
-    total = int(k.sum())
-    cell = np.repeat(np.arange(n), k)
-    src = g[cell]
-    j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
-    j = np.minimum(j, len(ALL_SFS) - 1)
-    src_local = (rng.random(total) * state.int_counts[src]).astype(np.int64)
-    u_alpha = state.interferer_u_alpha(rng, state.int_offsets[src] + src_local)
-    # the overlap kills when the interferer's fading pushes its power past
-    # the desired power over the capture threshold
-    limit = fading[cell] * u_alpha / (state.d_alpha[src] * tables.capture[row, j])
-    kill = rng.exponential(1.0, size=total) > limit
-    in_pre = rng.random(total) < tables.preamble_share[row, j]
-    frame_kill = np.bincount(cell[kill], minlength=n) > 0
-    pre_kill = np.bincount(cell[kill & in_pre], minlength=n) > 0
-    return ~frame_kill, ~pre_kill
+    """(received, preamble heard) for detected frames that overlap at least
+    one interferer frame, the frame ``c`` belonging to recipient
+    ``active[owner[c]]``; ``rate`` is each active recipient's mean overlap
+    count per frame and ``p_dirty`` its chance of at least one. The frames
+    are judged in blocks of at most ``VERDICT_BLOCK``."""
+    ok = np.empty(owner.size, dtype=bool)
+    heard = np.empty(owner.size, dtype=bool)
+    for lo in range(0, owner.size, VERDICT_BLOCK):
+        mine = owner[lo:lo + VERDICT_BLOCK]
+        n = mine.size
+        g = active[mine]
+        # exponential fading conditioned on clearing the detection threshold
+        fading = state.detect_c[g, row] + rng.exponential(1.0, size=n)
+        # the first overlap falls at T, conditioned into [0, 1); the rest of
+        # the frame holds a Poisson(rate * (1 - T)) number of further overlaps
+        rest = np.maximum(rate[mine] + np.log1p(-rng.random(n) * p_dirty[mine]), 0.0)
+        k = 1 + rng.poisson(rest)
+        total = int(k.sum())
+        cell = np.repeat(np.arange(n), k)
+        src = g[cell]
+        j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
+        j = np.minimum(j, len(ALL_SFS) - 1)
+        src_local = (rng.random(total) * state.int_counts[src]).astype(np.int64)
+        u_alpha = state.interferer_u_alpha(state.int_offsets[src] + src_local)
+        # the overlap kills when the interferer's fading pushes its power past
+        # the desired power over the capture threshold
+        limit = fading[cell] * u_alpha / (state.d_alpha[src] * tables.capture[row, j])
+        kill = rng.exponential(1.0, size=total) > limit
+        in_pre = rng.random(total) < tables.preamble_share[row, j]
+        ok[lo:lo + n] = np.bincount(cell[kill], minlength=n) == 0
+        heard[lo:lo + n] = np.bincount(cell[kill & in_pre], minlength=n) == 0
+    return ok, heard
 
 
 def _place_completion(
@@ -264,18 +305,21 @@ def _serve_segment(
     sf: int,
     max_frames: int,
     active: np.ndarray,
-    t_start: float,
+    t_start: np.ndarray,
     chunk_frames: int,
-) -> tuple[int, np.ndarray]:
-    """Send up to ``max_frames`` frames at one SF to the active recipients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send up to ``max_frames`` frames at one SF to the active recipients
+    of every session of the batch, session ``s`` starting at ``t_start[s]``.
 
-    Returns frames actually transmitted and the still-active recipient
-    indices. Mutates the session state in place.
+    A session's segment ends at the budget or at its own last active
+    member's completing frame. Returns the frames each session transmitted
+    and the still-active recipient indices. Mutates the state in place.
     """
     row = sf - SF_MIN
-    sent = 0
-    while sent < max_frames and active.size > 0:
-        f = min(chunk_frames, max_frames - sent)
+    sent = np.zeros(state.sessions, dtype=np.int64)
+    passed = 0  # frames each session still in the segment has sent
+    while passed < max_frames and active.size > 0:
+        f = min(chunk_frames, max_frames - passed)
         a = active.size
         rate = tables.event_rate_per_interferer[row] * state.int_counts[active]
         p_dirty = -np.expm1(-rate)
@@ -285,9 +329,7 @@ def _serve_segment(
         detected = rng.binomial(f, state.detect_p[active, row])
         dirty = rng.binomial(detected, p_dirty)
         owner = np.repeat(np.arange(a), dirty)
-        ok, heard = _dirty_frame_verdicts(
-            rng, state, tables, row, active[owner], rate[owner], p_dirty[owner]
-        )
+        ok, heard = _dirty_frame_verdicts(rng, state, tables, row, active, rate, p_dirty, owner)
         got = detected - dirty + np.bincount(owner[ok], minlength=a)
         heard_lost = np.bincount(owner[heard & ~ok], minlength=a)
 
@@ -306,25 +348,28 @@ def _serve_segment(
         state.received[active] += np.minimum(got, need)
         finishers = active[fin]
         state.completed[finishers] = True
-        state.completion_time[finishers] = t_start + (sent + listened[fin]) * tables.slot_s[row]
+        state.completion_time[finishers] = (
+            t_start[state.session[finishers]] + (passed + listened[fin]) * tables.slot_s[row]
+        )
+        # a session with a member left sends the whole pass; one whose
+        # members all finished stops at the last completing frame
+        np.maximum.at(sent, state.session[active], passed + listened)
         active = active[~done]
-        if active.size == 0:
-            sent += int(listened.max())
-            break
-        sent += f
+        passed += f
     return sent, active
 
 
-def _place_recipients(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
+def _place_recipients(spec: ExperimentSpec, rng: np.random.Generator, sessions: int) -> np.ndarray:
+    """The recipients' distances, session after session."""
     lay = spec.layout
     if lay.kind == "grid":
         bins = np.array(spec.grid_distances())
         base, rem = divmod(lay.recipients, bins.size)
         counts = np.full(bins.size, base, dtype=np.int64)
         counts[:rem] += 1
-        return np.repeat(bins, counts)
+        return np.tile(np.repeat(bins, counts), sessions)
     radius = spec.network.cell_radius_m
-    return radius * np.sqrt(rng.random(lay.recipients))
+    return radius * np.sqrt(rng.random(sessions * lay.recipients))
 
 
 def attempts_cap(spec: ExperimentSpec, code: RatelessModel) -> int:
@@ -337,19 +382,25 @@ def run_session(
     scheme: Scheme,
     rng: np.random.Generator,
     *,
+    sessions: int = 1,
     group_assignment: Optional[dict[float, Optional[int]]] = None,
     distances: Optional[np.ndarray] = None,
     code: Optional[RatelessModel] = None,
     tables: Optional[_SfTables] = None,
 ) -> SessionResult:
-    """Simulate one complete firmware session, serving the segments of the
-    scheme's :func:`~fuotacast.schemes.session_plan` in order.
+    """Simulate a batch of ``sessions`` independent firmware sessions in
+    one state, each serving the segments of the scheme's
+    :func:`~fuotacast.schemes.session_plan` in order.
 
-    A group-based scheme needs ``group_assignment``, the serving SF per
-    distance (``None`` where unreachable); each recipient joins the group
-    of its nearest key. ``tables`` may carry the per-SF constants of
-    ``spec`` when many sessions share them.
+    ``distances`` pins the cohort of every session; by default each
+    session places ``spec.layout`` afresh. A group-based scheme needs
+    ``group_assignment``, the serving SF per distance (``None`` where
+    unreachable); each recipient joins the group of its nearest key.
+    ``tables`` may carry the per-SF constants of ``spec`` when many
+    batches share them, as in :func:`session_batches`.
     """
+    if sessions < 1:
+        raise ValueError("a batch needs at least one session")
     phy, net = spec.phy, spec.network
     link, fld = net.link, net.interferers
     code = code or spec.firmware.code
@@ -359,10 +410,11 @@ def run_session(
         )
 
     if distances is None:
-        distances = _place_recipients(spec, rng)
+        distances = _place_recipients(spec, rng, sessions)
     else:
-        distances = np.asarray(distances, dtype=float)
+        distances = np.tile(np.asarray(distances, dtype=float), sessions)
     n = distances.size
+    session = np.repeat(np.arange(sessions), n // sessions)
 
     radius_i = interference_radius(link, fld, phy.sensitivity_w(max(ALL_SFS)))
     counts = rng.poisson(mean_interferer_count(fld, radius_i), size=n)
@@ -372,18 +424,21 @@ def run_session(
     sensitivity = np.array([phy.sensitivity_w(s) for s in ALL_SFS])
     detect_c = np.outer(d_alpha, sensitivity / (link.link_gain * link.tx_rf_power_w))
     state = _SessionState(
+        sessions=sessions,
+        session=session,
         d_alpha=d_alpha,
         thresholds=np.asarray(thresholds, dtype=np.int64),
         int_counts=counts,
         radius_m=radius_i,
         path_loss_exponent=link.path_loss_exponent,
         detect_c=detect_c,
+        key=rng.integers(2**64, dtype=np.uint64),
     )
 
     cap = attempts_cap(spec, code)
     chunk = spec.sim.chunk_frames
     transmissions = 0
-    elapsed = 0.0
+    elapsed = np.zeros(sessions)
     group_sfs = member_sf = None
     if group_assignment:
         group_sfs = [sf for sf in group_assignment.values() if sf is not None]
@@ -397,10 +452,11 @@ def run_session(
             assigned_sf[active] = group_sf
         for sf, budget in segments:
             sent, active = _serve_segment(rng, state, tables, sf, budget, active, elapsed, chunk)
-            transmissions += sent
+            transmissions += int(sent.sum())
             elapsed += sent * tables.slot_s[sf - SF_MIN]
 
     return SessionResult(
+        session=session,
         distances=distances,
         fragments_needed=state.thresholds,
         fragments_received=state.received,
@@ -417,8 +473,32 @@ def run_session(
         assigned_sf=assigned_sf,
         transmissions=transmissions,
         duration_s=elapsed,
-        incomplete=not state.completed.all(),
+        incomplete=np.bincount(session[~state.completed], minlength=sessions) > 0,
     )
+
+
+def session_batches(
+    spec: ExperimentSpec,
+    scheme: Scheme,
+    runs: int,
+    seed: int,
+    **kwargs,
+) -> Iterator[SessionResult]:
+    """``runs`` sessions in batches of ``max(1, BATCH_RECIPIENTS //
+    spec.layout.recipients)``, each batch on its own child of the seed and
+    all on one set of per-SF constants. ``kwargs`` go to
+    :func:`run_session`."""
+    per_batch = max(1, BATCH_RECIPIENTS // spec.layout.recipients)
+    tables = _SfTables(
+        spec.phy, spec.network.interferers, spec.firmware.fragment_payload_bytes,
+        spec.network.duty_cycle_max_percent,
+    )
+    children = np.random.SeedSequence(seed).spawn(-(-runs // per_batch))
+    for b, child in enumerate(children):
+        yield run_session(
+            spec, scheme, np.random.default_rng(child),
+            sessions=min(per_batch, runs - b * per_batch), tables=tables, **kwargs,
+        )
 
 
 def _lookup_assignment(
@@ -458,34 +538,31 @@ def run_experiment(
     e_norm = analysis.normalization_energy_j(
         spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
     )
-    tables = _SfTables(
-        spec.phy, spec.network.interferers, spec.firmware.fragment_payload_bytes,
-        spec.network.duty_cycle_max_percent,
-    )
 
     ee_runs = np.full((runs, bins.size), np.nan)
     dt_runs = np.full((runs, bins.size), np.nan)
     incomplete_sessions = 0
     unfinished = 0
-    children = np.random.SeedSequence(seed).spawn(runs)
-    for r in range(runs):
-        rng = np.random.default_rng(children[r])
-        session = run_session(
-            spec, scheme, rng, group_assignment=group_assignment, code=code, tables=tables
-        )
-        if session.incomplete:
-            incomplete_sessions += 1
-        ok = session.completed
+    first = 0
+    for batch in session_batches(
+        spec, scheme, runs, seed, group_assignment=group_assignment, code=code
+    ):
+        r = batch.duration_s.size
+        incomplete_sessions += int(batch.incomplete.sum())
+        ok = batch.completed
         unfinished += int((~ok).sum())
-        which = np.clip(np.digitize(session.distances, edges, right=True) - 1, 0, bins.size - 1)
-        members = np.bincount(which[ok], minlength=bins.size)
+        which = np.clip(np.digitize(batch.distances, edges, right=True) - 1, 0, bins.size - 1)
+        # one (session, bin) cell per completed recipient
+        cell = (batch.session * bins.size + which)[ok]
+        members = np.bincount(cell, minlength=r * bins.size).reshape(r, bins.size)
         seen = members > 0
         for per_run, values in (
-            (ee_runs, session.energy_fragments_j / e_norm),
-            (dt_runs, session.completion_time_s / 3600.0),
+            (ee_runs, batch.energy_fragments_j / e_norm),
+            (dt_runs, batch.completion_time_s / 3600.0),
         ):
-            sums = np.bincount(which[ok], weights=values[ok], minlength=bins.size)
-            per_run[r, seen] = sums[seen] / members[seen]
+            sums = np.bincount(cell, weights=values[ok], minlength=r * bins.size)
+            per_run[first:first + r][seen] = sums.reshape(r, bins.size)[seen] / members[seen]
+        first += r
 
     def reduce(per_run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         seen = ~np.isnan(per_run)

@@ -2,8 +2,9 @@
 
 This is the simulator's original segment sampler: every frame of every
 active recipient gets its own fading draw and Poisson overlap count, in
-dense (recipients x chunk) arrays. The package does not import it; tests
-swap it in for ``sim._serve_segment`` and compare the two samplers' laws.
+dense (recipients x chunk) arrays, with the per-session timeline of a
+batch. The package does not import it; tests swap it in for
+``sim._serve_segment`` and compare the two samplers' laws.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ def serve_segment_by_frame(
     sf: int,
     max_frames: int,
     active: np.ndarray,
-    t_start: float,
+    t_start: np.ndarray,
     chunk_frames: int,
-) -> tuple[int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Send up to ``max_frames`` frames at one SF to the active recipients,
     simulating every frame; same contract as ``sim._serve_segment``."""
     row = sf - SF_MIN
-    sent = 0
-    while sent < max_frames and active.size > 0:
-        f = min(chunk_frames, max_frames - sent)
+    sent = np.zeros(state.sessions, dtype=np.int64)
+    passed = 0
+    while passed < max_frames and active.size > 0:
+        f = min(chunk_frames, max_frames - passed)
         a = active.size
         fading = rng.exponential(1.0, size=(a, f))
         detected = fading > state.detect_c[active, row][:, None]
@@ -46,7 +48,7 @@ def serve_segment_by_frame(
                 j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
                 j = np.minimum(j, len(ALL_SFS) - 1)
                 src_local = (rng.random(total) * state.int_counts[g]).astype(np.int64)
-                u_alpha = state.interferer_u_alpha(rng, state.int_offsets[g] + src_local)
+                u_alpha = state.interferer_u_alpha(state.int_offsets[g] + src_local)
                 a_event = fading.ravel()[cell]
                 limit = a_event * u_alpha / (state.d_alpha[g] * tables.capture[row, j])
                 kill = rng.exponential(1.0, size=total) > limit
@@ -73,14 +75,14 @@ def serve_segment_by_frame(
             done, need[:, 0], (success & listen_mask).sum(axis=1)
         )
 
-        frames_now = int(first.max()) + 1 if bool(done.all()) else f
         finishers = active[done]
         state.completed[finishers] = True
         state.completion_time[finishers] = (
-            t_start + (sent + first[done] + 1) * tables.slot_s[row]
+            t_start[state.session[finishers]] + (passed + first[done] + 1) * tables.slot_s[row]
         )
+        # a session ends the pass at its last member's completing frame when
+        # every member completes in it, else after the whole pass
+        np.maximum.at(sent, state.session[active], passed + np.where(done, first + 1, f))
         active = active[~done]
-        sent += frames_now
-        if bool(done.all()):
-            break
+        passed += f
     return sent, active

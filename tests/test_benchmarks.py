@@ -423,6 +423,26 @@ class TestLifetimeRows:
             assert s.lifetime_years == pytest.approx(a.lifetime_years, rel=0.05)
 
 
+    def test_sim_mode_serves_each_location_in_batches(self, monkeypatch):
+        # 1024 // 400 = 2 sessions per batch, so five runs take three batches
+        spec = load_default_spec({"layout": {"recipients": 400}})
+        sizes = []
+        real = sim.run_session
+
+        def recording(*args, sessions, **kwargs):
+            sizes.append(sessions)
+            return real(*args, sessions=sessions, **kwargs)
+
+        monkeypatch.setattr(sim, "run_session", recording)
+        rows = benchmarks.lifetime_rows(spec, "sim", runs=5, seed=8)
+        assert len(rows) == len(spec.lifetime.locations) * len(spec.schemes)
+        for r in rows:
+            assert r.reachable, (r.location, r.scheme)
+            assert math.isfinite(r.lifetime_years) and r.lifetime_years > 0
+            assert math.isfinite(r.rx_hours_per_update)
+        assert sizes == [2, 2, 1] * len(rows)
+
+
 class TestSimulationSuite:
     def test_both_mode_fills_every_column(self):
         spec = load_default_spec({"layout": {"recipients": 30}})

@@ -377,6 +377,31 @@ class TestSweepAndLifetimeVerbs:
             assert rows["near"][4] != "", mode
 
 
+    def test_lifetime_sim_mode_far_cell_without_completions_exits_4(self, tmp_path, capsys):
+        # no recipient at the 4000 m edge completes under the ramp or fixed
+        # SF12: their rows stay empty but reachable, and the verb exits 4
+        cfg = _write(
+            tmp_path,
+            "far.yaml",
+            "name: farcell\n"
+            "schemes:\n"
+            "  - {type: proposed}\n"
+            "  - {type: fixed_sf, sf: 12}\n"
+            "network: {cell_radius_m: 4000.0}\n"
+            "layout: {recipients: 5}\n",
+        )
+        out = tmp_path / "out"
+        rc = cli.main(
+            ["lifetime", "--config", str(cfg), "--mode", "sim", "--runs", "3", "--out", str(out)]
+        )
+        assert rc == 4
+        assert "no completed recipients" in capsys.readouterr().err
+        lines = (out / "lifetime.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[3:]]
+        assert [r[4:] for r in rows if r[0] == "edge"] == [["", ""], ["", ""]]
+        assert all(r[4] != "" for r in rows if r[0] == "near")
+
+
 class TestErrorExits:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = cli.main(["analyze", "--config", str(tmp_path / "nope.yaml")])
@@ -408,6 +433,34 @@ class TestErrorExits:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["simulate", "--runs", "1"], ["lifetime", "--mode", "sim", "--runs", "1"]],
+    )
+    def test_loss_free_link_under_failure_literal_exits_2(self, tmp_path, capsys, argv):
+        # a link that never loses a frame leaves the literal failure-rate
+        # denominator at 0; the error names the distance and the SF
+        cfg = _write(
+            tmp_path,
+            "lossfree.yaml",
+            "name: lossfree\n"
+            "schemes:\n"
+            "  - {type: proposed}\n"
+            "  - {type: group_based, criterion: energy}\n"
+            "phy:\n"
+            "  sensitivity_dbm: {7: -995.0, 8: -996.0, 9: -997.0, 10: -998.0,"
+            " 11: -999.0, 12: -1000.0}\n"
+            "interferers: {intensity_per_m2: 0.0}\n"
+            "analysis: {eta_denominator: failure_literal}\n",
+        )
+        out = tmp_path / "out"
+        rc = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "failure_literal" in err
+        assert "at SF7 for the recipient at" in err and " m;" in err
+        assert not list(out.glob("*.csv"))
 
     def test_quadrature_breakdown_exits_3(self, tmp_path, capsys):
         cfg = _write(
