@@ -20,20 +20,28 @@ probability ``exp(-c)`` and, independently, overlaps at least one
 interferer frame ("dirty") with probability ``1 - exp(-lambda)``, where
 ``lambda`` is the recipient's mean overlap count per frame. An undetected
 frame is a preamble-only listen and a detected clean frame is a reception,
-so each pass of at most ``sim.chunk_frames`` frames draws the detected
-count and the dirty count within it binomially, and simulates only the
-detected dirty frames: fading conditioned above the threshold, a first
-overlap at a time conditioned into the frame plus a Poisson remainder, and
-each overlap's SF, source interferer, capture verdict and preamble share.
-The detected dirty frames of a pass are judged in blocks of at most
-``VERDICT_BLOCK`` frames, so a pass's temporaries stay bounded however
-many recipients it serves. The frames of a pass are exchangeable, so a
-recipient still ``r`` receptions short completes at the ``r``-th of its
-receptions placed uniformly over the pass (a negative-hypergeometric
-draw), and its full listens before that point are a draw without
-replacement. The cost grows with detected dirty frames plus recipients
-times passes; in a dense field nearly every frame is dirty and it
-approaches one simulated frame per detected recipient-frame.
+so each pass draws a recipient's detected count and the dirty count within
+it binomially, and simulates only the detected dirty frames: fading
+conditioned above the threshold, a first overlap at a time conditioned into
+the frame plus a Poisson remainder (zero, at the stock density, for nearly
+every frame, which one uniform decides), and each overlap's SF, source
+interferer and capture verdict, with a preamble share drawn only for the
+overlaps that kill. The detected dirty frames of a pass are judged in
+blocks of at most ``VERDICT_BLOCK`` frames, each finding its owners from
+the cumulative dirty counts, so a pass's temporaries stay bounded however
+many recipients it serves.
+
+Each recipient's pass has its own length: the frames it is expected to
+need to complete, with a margin, capped at ``sim.chunk_frames`` and at its
+budget left. The length rests on the recipient's own past draws only, so
+it is a stopping rule and the law is exact; a recipient that completes
+early in a pass leaves few of its frames unjudged. The frames of a pass are
+exchangeable, so a recipient still ``r`` receptions short completes at the
+``r``-th of its receptions placed uniformly over the pass (a
+negative-hypergeometric draw), and its full listens before that point are
+a draw without replacement. The cost grows with detected dirty frames plus
+recipients times passes; in a dense field nearly every frame is dirty and
+it approaches one simulated frame per detected recipient-frame.
 
 Sessions are simulated in batches that share one state. Recipients are
 independent given their session's timeline, so a batch stacks the
@@ -69,6 +77,9 @@ from .schemes import Scheme, session_plan
 BATCH_RECIPIENTS = 1024
 # detected overlapped frames judged together in one block of a pass
 VERDICT_BLOCK = 4096
+# a recipient's pass covers its expected frames to completion plus this many
+# standard deviations of its reception count, so that it rarely falls short
+PASS_MARGIN = 3.0
 
 # SplitMix64's state increment and output-mixing multipliers
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -228,6 +239,37 @@ class _SessionState:
         return self.radius_alpha * _counter_uniform(self.key, slots) ** self.half_alpha
 
 
+def _overlap_frames(rng: np.random.Generator, rate: np.ndarray, p_dirty: np.ndarray) -> np.ndarray:
+    """The frame of each interferer overlap, for frames known to overlap at
+    least one: every frame's first overlap in frame order, then the further
+    ones. Frame ``i`` holds a Poisson(``rate[i]``) number of overlaps
+    conditioned on at least one; ``p_dirty`` is ``1 - exp(-rate)``.
+
+    Overlaps arrive as a Poisson process, so the count is the number of
+    uniforms whose running product stays above exp(-rate) (Knuth, TAOCP
+    vol. 2, 3.4.1). Conditioning on at least one makes the first factor y
+    uniform on (exp(-rate), 1]. A second factor v with v * y below exp(-rate)
+    ends the frame at one overlap, the case of nearly every frame at the
+    stock density; otherwise a second overlap and Poisson(rate + log(v * y))
+    more follow.
+    """
+    n = rate.size
+    w = rng.random(n) * (1.0 - rng.random(n) * p_dirty)
+    more = np.flatnonzero(w >= 1.0 - p_dirty)
+    rest = np.maximum(rate[more] + np.log(w[more]), 0.0)
+    return np.concatenate((np.arange(n), np.repeat(more, 1 + rng.poisson(rest))))
+
+
+def _interferer_sf_rows(sf_cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row of the interferer SF drawn by each uniform ``u`` from the SF
+    event CDF: the number of its first five entries at or below ``u``, which
+    is ``searchsorted(sf_cdf, u, "right")`` capped at the last SF."""
+    j = (u >= sf_cdf[0]).astype(np.intp)
+    for edge in sf_cdf[1:-1]:
+        j += u >= edge
+    return j
+
+
 def _dirty_frame_verdicts(
     rng: np.random.Generator,
     state: _SessionState,
@@ -236,40 +278,59 @@ def _dirty_frame_verdicts(
     active: np.ndarray,
     rate: np.ndarray,
     p_dirty: np.ndarray,
-    owner: np.ndarray,
+    dirty: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(received, preamble heard) for detected frames that overlap at least
-    one interferer frame, the frame ``c`` belonging to recipient
-    ``active[owner[c]]``; ``rate`` is each active recipient's mean overlap
-    count per frame and ``p_dirty`` its chance of at least one. The frames
-    are judged in blocks of at most ``VERDICT_BLOCK``."""
-    ok = np.empty(owner.size, dtype=bool)
-    heard = np.empty(owner.size, dtype=bool)
-    for lo in range(0, owner.size, VERDICT_BLOCK):
-        mine = owner[lo:lo + VERDICT_BLOCK]
-        n = mine.size
-        g = active[mine]
-        # exponential fading conditioned on clearing the detection threshold
-        fading = state.detect_c[g, row] + rng.exponential(1.0, size=n)
-        # the first overlap falls at T, conditioned into [0, 1); the rest of
-        # the frame holds a Poisson(rate * (1 - T)) number of further overlaps
-        rest = np.maximum(rate[mine] + np.log1p(-rng.random(n) * p_dirty[mine]), 0.0)
-        k = 1 + rng.poisson(rest)
-        total = int(k.sum())
-        cell = np.repeat(np.arange(n), k)
-        src = g[cell]
-        j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
-        j = np.minimum(j, len(ALL_SFS) - 1)
-        src_local = (rng.random(total) * state.int_counts[src]).astype(np.int64)
-        u_alpha = state.interferer_u_alpha(state.int_offsets[src] + src_local)
+    """Receptions and full listens without a reception among the ``dirty[i]``
+    detected frames of recipient ``active[i]`` that overlap at least one
+    interferer frame; ``rate`` is each active recipient's mean overlap count
+    per frame and ``p_dirty`` its chance of at least one.
+
+    The frames are judged in blocks of at most ``VERDICT_BLOCK``, recipient
+    after recipient, and each block finds its owners from the cumulative
+    dirty counts, so no array grows with the overlapped frames of a pass.
+    """
+    a = active.size
+    lost = np.zeros(a, dtype=np.int64)
+    lost_heard = np.zeros(a, dtype=np.int64)
+    ends = np.cumsum(dirty)
+    starts = ends - dirty
+    frames = int(ends[-1])
+    threshold = state.detect_c[active, row]
+    path_loss = state.d_alpha[active]
+    counts = state.int_counts[active]
+    offsets = state.int_offsets[active]
+    sf_cdf, capture = tables.sf_event_cdf[row], tables.capture[row]
+    for lo in range(0, frames, VERDICT_BLOCK):
+        hi = min(lo + VERDICT_BLOCK, frames)
+        n = hi - lo
+        # recipients first .. last - 1 own the block's frames
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        span = np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo)
+        local = np.repeat(np.arange(last - first), span)
+        mine = first + local
+        # exponential fading conditioned on clearing the detection threshold,
+        # over the path loss
+        level = (threshold[mine] + rng.exponential(1.0, size=n)) / path_loss[mine]
+        cell = _overlap_frames(rng, rate[mine], p_dirty[mine])
+        total = cell.size
+        src = mine[cell]
+        j = _interferer_sf_rows(sf_cdf, rng.random(total))
+        slots = offsets[src] + (rng.random(total) * counts[src]).astype(np.int64)
         # the overlap kills when the interferer's fading pushes its power past
         # the desired power over the capture threshold
-        limit = fading[cell] * u_alpha / (state.d_alpha[src] * tables.capture[row, j])
-        kill = rng.exponential(1.0, size=total) > limit
-        in_pre = rng.random(total) < tables.preamble_share[row, j]
-        ok[lo:lo + n] = np.bincount(cell[kill], minlength=n) == 0
-        heard[lo:lo + n] = np.bincount(cell[kill & in_pre], minlength=n) == 0
-    return ok, heard
+        limit = level[cell] * state.interferer_u_alpha(slots) / capture[j]
+        kill = np.flatnonzero(rng.exponential(1.0, size=total) > limit)
+        in_pre = rng.random(kill.size) < tables.preamble_share[row, j[kill]]
+        killed = np.zeros(n, dtype=bool)
+        killed[cell[kill]] = True
+        pre_killed = np.zeros(n, dtype=bool)
+        pre_killed[cell[kill[in_pre]]] = True
+        lost[first:last] += np.bincount(local[killed], minlength=last - first)
+        lost_heard[first:last] += np.bincount(
+            local[killed & ~pre_killed], minlength=last - first
+        )
+    return dirty - lost, lost_heard
 
 
 def _place_completion(
@@ -277,7 +338,7 @@ def _place_completion(
     r: np.ndarray,
     got: np.ndarray,
     heard_lost: np.ndarray,
-    frames: int,
+    frames: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame of the ``r``-th reception and the full listens up to it, in a
     uniformly shuffled pass of ``frames`` frames holding ``got >= r``
@@ -293,9 +354,21 @@ def _place_completion(
     lost = np.flatnonzero(heard_lost > 0)
     if lost.size > 0:
         full[lost] += rng.hypergeometric(
-            heard_lost[lost], frames - got[lost] - heard_lost[lost], at[lost] - r[lost]
+            heard_lost[lost], frames[lost] - got[lost] - heard_lost[lost], at[lost] - r[lost]
         )
     return at, full
+
+
+def _pass_lengths(
+    need: np.ndarray, p: np.ndarray, chunk_frames: int, budget_left: np.ndarray
+) -> np.ndarray:
+    """Each recipient's next pass: the frames it is expected to need to
+    receive ``need`` more at detection probability ``p``, plus
+    ``PASS_MARGIN`` standard deviations, ``(need + PASS_MARGIN * sqrt(need))
+    / p``, capped at ``chunk_frames`` and at its budget left."""
+    with np.errstate(divide="ignore"):
+        want = np.ceil((need + PASS_MARGIN * np.sqrt(need)) / p)
+    return np.minimum(want, np.minimum(chunk_frames, budget_left)).astype(np.int64)
 
 
 def _serve_segment(
@@ -311,52 +384,60 @@ def _serve_segment(
     """Send up to ``max_frames`` frames at one SF to the active recipients
     of every session of the batch, session ``s`` starting at ``t_start[s]``.
 
-    A session's segment ends at the budget or at its own last active
-    member's completing frame. Returns the frames each session transmitted
-    and the still-active recipient indices. Mutates the state in place.
+    Each recipient listens in passes of its own length (see
+    :func:`_pass_lengths`). The length rests on the recipient's own past
+    only, so it is a stopping rule and the law stays exact, and a recipient
+    that completes early leaves few frames of its pass unjudged. A session's
+    segment ends at the budget or at its own last active member's completing
+    frame. Returns the frames each session transmitted and the recipients
+    still unfinished at the budget. Mutates the state in place.
     """
     row = sf - SF_MIN
     sent = np.zeros(state.sessions, dtype=np.int64)
-    passed = 0  # frames each session still in the segment has sent
-    while passed < max_frames and active.size > 0:
-        f = min(chunk_frames, max_frames - passed)
-        a = active.size
+    if max_frames <= 0:
+        return sent, active
+    members = active
+    passed = np.zeros(active.size, dtype=np.int64)  # frames each has heard so far
+    while active.size > 0:
+        need = state.thresholds[active] - state.received[active]
+        p = state.detect_p[active, row]
+        f = _pass_lengths(need, p, chunk_frames, max_frames - passed)
         rate = tables.event_rate_per_interferer[row] * state.int_counts[active]
         p_dirty = -np.expm1(-rate)
         # an undetected frame is a preamble-only listen whatever overlaps
         # it, and a detected one that overlaps no interferer frame is
         # received; only detected overlapped frames need simulating
-        detected = rng.binomial(f, state.detect_p[active, row])
+        detected = rng.binomial(f, p)
         dirty = rng.binomial(detected, p_dirty)
-        owner = np.repeat(np.arange(a), dirty)
-        ok, heard = _dirty_frame_verdicts(rng, state, tables, row, active, rate, p_dirty, owner)
-        got = detected - dirty + np.bincount(owner[ok], minlength=a)
-        heard_lost = np.bincount(owner[heard & ~ok], minlength=a)
+        ok, heard_lost = _dirty_frame_verdicts(
+            rng, state, tables, row, active, rate, p_dirty, dirty
+        )
+        got = detected - dirty + ok
 
-        need = state.thresholds[active] - state.received[active]
         done = got >= need
         fin = np.flatnonzero(done)
-        listened = np.full(a, f, dtype=np.int64)
+        listened = f.copy()
         full = got + heard_lost
         if fin.size > 0:
             listened[fin], full[fin] = _place_completion(
-                rng, need[fin], got[fin], heard_lost[fin], f
+                rng, need[fin], got[fin], heard_lost[fin], f[fin]
             )
 
         state.full_listens[active, row] += full
         state.preamble_listens[active, row] += listened - full
         state.received[active] += np.minimum(got, need)
+        passed += listened
         finishers = active[fin]
         state.completed[finishers] = True
         state.completion_time[finishers] = (
-            t_start[state.session[finishers]] + (passed + listened[fin]) * tables.slot_s[row]
+            t_start[state.session[finishers]] + passed[fin] * tables.slot_s[row]
         )
-        # a session with a member left sends the whole pass; one whose
-        # members all finished stops at the last completing frame
-        np.maximum.at(sent, state.session[active], passed + listened)
-        active = active[~done]
-        passed += f
-    return sent, active
+        # a session sends until its last member leaves: at that member's
+        # completing frame, or at the budget
+        leave = done | (passed >= max_frames)
+        np.maximum.at(sent, state.session[active[leave]], passed[leave])
+        active, passed = active[~leave], passed[~leave]
+    return sent, members[~state.completed[members]]
 
 
 def _place_recipients(spec: ExperimentSpec, rng: np.random.Generator, sessions: int) -> np.ndarray:
