@@ -4,15 +4,18 @@
 For each workload of ``perfbench/workloads.py`` that simulates, run its
 un-jittered ``simulate`` op once through ``fuotacast.cli.main`` and count
 
+- ``batches``: calls of ``sim.run_session``, one per batch of sessions
+- ``passes``: calls of ``sim._dirty_frame_verdicts``, one per sampler pass
 - ``frames_judged``: detected overlapped frames handed to
   ``sim._dirty_frame_verdicts`` (each gets a fading draw and overlap verdicts)
-- ``passes``: calls of ``sim._dirty_frame_verdicts``, one per sampler pass
+- ``verdict_blocks``: blocks of at most ``sim.VERDICT_BLOCK`` frames those
+  passes judge, ``ceil(frames / VERDICT_BLOCK)`` per pass
 
-and the op's exit code. The verdict kernel is wrapped in place; nothing else
+and the op's exit code. Both functions are wrapped in place; nothing else
 changes. The script reads either form of the kernel's last argument: the
 per-recipient ``dirty`` counts, or the per-frame ``owner`` array the kernel
 took before passes were sized per recipient, so one script counts both
-sides of that change.
+sides of either change.
 
 Usage, from the root of a checkout (the program is imported from ``src/``):
 
@@ -44,28 +47,33 @@ from fuotacast import cli, sim  # noqa: E402
 
 def count(workload: str, seed: int) -> dict:
     verb = next(v for v in workloads.WORKLOADS[workload].verbs if v.verb == "simulate")
-    tally = {"frames_judged": 0, "passes": 0}
-    real = sim._dirty_frame_verdicts
-    last_name = list(inspect.signature(real).parameters)[-1]
+    tally = {"batches": 0, "passes": 0, "frames_judged": 0, "verdict_blocks": 0}
+    real_session, real_verdicts = sim.run_session, sim._dirty_frame_verdicts
+    last_name = list(inspect.signature(real_verdicts).parameters)[-1]
 
-    def counting(*args, **kwargs):
+    def counting_session(*args, **kwargs):
+        tally["batches"] += 1
+        return real_session(*args, **kwargs)
+
+    def counting_verdicts(*args, **kwargs):
         last = args[-1]
         frames = int(last.size) if last_name == "owner" else int(last.sum())
         tally["frames_judged"] += frames
+        tally["verdict_blocks"] += -(-frames // sim.VERDICT_BLOCK)
         tally["passes"] += 1
-        return real(*args, **kwargs)
+        return real_verdicts(*args, **kwargs)
 
     with tempfile.TemporaryDirectory() as work:
         config = Path(work) / "op.yaml"
         config.write_text(yaml.safe_dump(dict(verb.base, name=f"count-{workload}")))
         argv = [verb.verb, "--config", str(config), "--out", str(Path(work) / "out"),
                 "--seed", str(seed), *verb.flags]
-        sim._dirty_frame_verdicts = counting
+        sim.run_session, sim._dirty_frame_verdicts = counting_session, counting_verdicts
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main(argv)
         finally:
-            sim._dirty_frame_verdicts = real
+            sim.run_session, sim._dirty_frame_verdicts = real_session, real_verdicts
     return dict(tally, exit_code=rc)
 
 

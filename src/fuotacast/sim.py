@@ -50,7 +50,15 @@ keeps only the timeline per session: every session starts each segment at
 its own time and ends it at the budget or at its own last member's
 completing frame. A batch holds ``max(1, BATCH_RECIPIENTS // recipients)``
 sessions, a rule on the config alone, so reruns with one seed repeat
-bit for bit.
+bit for bit. At 16,384 recipients, all runs of a stock experiment share
+one batch per scheme, so each pass's fixed numpy cost is paid once for
+all of them.
+
+The state keeps three totals per recipient (full listens, preamble-only
+listens and energy), each added to on every pass, and no per-SF matrix.
+A segment forms its recipients' detection thresholds once, as distance to
+the path-loss exponent times the SF's sensitivity over the link budget,
+and shrinks them with the active set after each pass.
 
 An interferer's distance is a counter-based draw: SplitMix64 (Steele, Lea
 & Flood, OOPSLA 2014) of the batch's key plus the interferer's slot. The
@@ -74,7 +82,7 @@ from .phy import ALL_SFS, SF_MIN, PhyProfile
 from .schemes import Scheme, session_plan
 
 # recipients simulated together in one batch state
-BATCH_RECIPIENTS = 1024
+BATCH_RECIPIENTS = 16384
 # detected overlapped frames judged together in one block of a pass
 VERDICT_BLOCK = 4096
 # a recipient's pass covers its expected frames to completion plus this many
@@ -213,7 +221,7 @@ class _SessionState:
 
     def __init__(self, sessions: int, session: np.ndarray, d_alpha: np.ndarray,
                  thresholds: np.ndarray, int_counts: np.ndarray, radius_m: float,
-                 path_loss_exponent: float, detect_c: np.ndarray, key: np.uint64):
+                 path_loss_exponent: float, detect_scale: np.ndarray, key: np.uint64):
         n = d_alpha.size
         self.sessions = sessions
         self.session = session
@@ -225,13 +233,15 @@ class _SessionState:
         self.key = np.uint64(key)
         self.radius_alpha = radius_m**path_loss_exponent
         self.half_alpha = path_loss_exponent / 2.0
-        self.detect_c = detect_c
-        self.detect_p = np.exp(-detect_c)
+        # recipient i detects a frame at SF row r when its fading exceeds
+        # d_alpha[i] * detect_scale[r]
+        self.detect_scale = detect_scale
         self.received = np.zeros(n, dtype=np.int64)
         self.completed = np.zeros(n, dtype=bool)
         self.completion_time = np.full(n, np.nan)
-        self.full_listens = np.zeros((n, len(ALL_SFS)), dtype=np.int64)
-        self.preamble_listens = np.zeros((n, len(ALL_SFS)), dtype=np.int64)
+        self.full_listens = np.zeros(n, dtype=np.int64)
+        self.preamble_listens = np.zeros(n, dtype=np.int64)
+        self.energy = np.zeros(n)
 
     def interferer_u_alpha(self, slots: np.ndarray) -> np.ndarray:
         """distance**alpha of the interferers at ``slots``, from the in-disc
@@ -276,14 +286,16 @@ def _dirty_frame_verdicts(
     tables: _SfTables,
     row: int,
     active: np.ndarray,
+    threshold: np.ndarray,
     rate: np.ndarray,
     p_dirty: np.ndarray,
     dirty: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receptions and full listens without a reception among the ``dirty[i]``
     detected frames of recipient ``active[i]`` that overlap at least one
-    interferer frame; ``rate`` is each active recipient's mean overlap count
-    per frame and ``p_dirty`` its chance of at least one.
+    interferer frame; ``threshold`` is each active recipient's detection
+    threshold, ``rate`` its mean overlap count per frame and ``p_dirty`` its
+    chance of at least one.
 
     The frames are judged in blocks of at most ``VERDICT_BLOCK``, recipient
     after recipient, and each block finds its owners from the cumulative
@@ -295,7 +307,6 @@ def _dirty_frame_verdicts(
     ends = np.cumsum(dirty)
     starts = ends - dirty
     frames = int(ends[-1])
-    threshold = state.detect_c[active, row]
     path_loss = state.d_alpha[active]
     counts = state.int_counts[active]
     offsets = state.int_offsets[active]
@@ -398,19 +409,22 @@ def _serve_segment(
         return sent, active
     members = active
     passed = np.zeros(active.size, dtype=np.int64)  # frames each has heard so far
+    # the segment's per-recipient constants, shrunk with ``active`` each pass
+    threshold = state.d_alpha[active] * state.detect_scale[row]
+    p = np.exp(-threshold)
+    rate = tables.event_rate_per_interferer[row] * state.int_counts[active]
+    p_dirty = -np.expm1(-rate)
+    e_full, e_preamble = tables.e_frame[row], tables.e_preamble[row]
     while active.size > 0:
         need = state.thresholds[active] - state.received[active]
-        p = state.detect_p[active, row]
         f = _pass_lengths(need, p, chunk_frames, max_frames - passed)
-        rate = tables.event_rate_per_interferer[row] * state.int_counts[active]
-        p_dirty = -np.expm1(-rate)
         # an undetected frame is a preamble-only listen whatever overlaps
         # it, and a detected one that overlaps no interferer frame is
         # received; only detected overlapped frames need simulating
         detected = rng.binomial(f, p)
         dirty = rng.binomial(detected, p_dirty)
         ok, heard_lost = _dirty_frame_verdicts(
-            rng, state, tables, row, active, rate, p_dirty, dirty
+            rng, state, tables, row, active, threshold, rate, p_dirty, dirty
         )
         got = detected - dirty + ok
 
@@ -423,8 +437,9 @@ def _serve_segment(
                 rng, need[fin], got[fin], heard_lost[fin], f[fin]
             )
 
-        state.full_listens[active, row] += full
-        state.preamble_listens[active, row] += listened - full
+        state.full_listens[active] += full
+        state.preamble_listens[active] += listened - full
+        state.energy[active] += full * e_full + (listened - full) * e_preamble
         state.received[active] += np.minimum(got, need)
         passed += listened
         finishers = active[fin]
@@ -436,7 +451,9 @@ def _serve_segment(
         # completing frame, or at the budget
         leave = done | (passed >= max_frames)
         np.maximum.at(sent, state.session[active[leave]], passed[leave])
-        active, passed = active[~leave], passed[~leave]
+        stay = ~leave
+        active, passed = active[stay], passed[stay]
+        threshold, p, rate, p_dirty = threshold[stay], p[stay], rate[stay], p_dirty[stay]
     return sent, members[~state.completed[members]]
 
 
@@ -503,7 +520,6 @@ def run_session(
 
     d_alpha = distances**link.path_loss_exponent
     sensitivity = np.array([phy.sensitivity_w(s) for s in ALL_SFS])
-    detect_c = np.outer(d_alpha, sensitivity / (link.link_gain * link.tx_rf_power_w))
     state = _SessionState(
         sessions=sessions,
         session=session,
@@ -512,7 +528,7 @@ def run_session(
         int_counts=counts,
         radius_m=radius_i,
         path_loss_exponent=link.path_loss_exponent,
-        detect_c=detect_c,
+        detect_scale=sensitivity / (link.link_gain * link.tx_rf_power_w),
         key=rng.integers(2**64, dtype=np.uint64),
     )
 
@@ -543,14 +559,12 @@ def run_session(
         fragments_received=state.received,
         completed=state.completed,
         completion_time_s=state.completion_time,
-        energy_fragments_j=(
-            state.full_listens @ tables.e_frame + state.preamble_listens @ tables.e_preamble
-        ),
+        energy_fragments_j=state.energy,
         control_energy_j=analysis.control_energy_j(
             phy, net.control_listen_s, net.ack_payload_bytes, net.ack_uplink_sf
         ),
-        attempts_full=state.full_listens.sum(axis=1),
-        attempts_preamble_only=state.preamble_listens.sum(axis=1),
+        attempts_full=state.full_listens,
+        attempts_preamble_only=state.preamble_listens,
         assigned_sf=assigned_sf,
         transmissions=transmissions,
         duration_s=elapsed,

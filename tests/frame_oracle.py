@@ -33,7 +33,8 @@ def serve_segment_by_frame(
         f = min(chunk_frames, max_frames - passed)
         a = active.size
         fading = rng.exponential(1.0, size=(a, f))
-        detected = fading > state.detect_c[active, row][:, None]
+        threshold = state.d_alpha[active] * state.detect_scale[row]
+        detected = fading > threshold[:, None]
 
         frame_kill = np.zeros((a, f), dtype=bool)
         pre_kill = np.zeros((a, f), dtype=bool)
@@ -69,8 +70,10 @@ def serve_segment_by_frame(
 
         listen_mask = np.arange(f)[None, :] <= np.minimum(first, f - 1)[:, None]
         full = (preamble_ok & listen_mask).sum(axis=1)
-        state.full_listens[active, row] += full
-        state.preamble_listens[active, row] += listen_mask.sum(axis=1) - full
+        preamble_only = listen_mask.sum(axis=1) - full
+        state.full_listens[active] += full
+        state.preamble_listens[active] += preamble_only
+        state.energy[active] += full * tables.e_frame[row] + preamble_only * tables.e_preamble[row]
         state.received[active] += np.where(
             done, need[:, 0], (success & listen_mask).sum(axis=1)
         )

@@ -424,7 +424,6 @@ class TestLifetimeRows:
 
 
     def test_sim_mode_serves_each_location_in_batches(self, monkeypatch):
-        # 1024 // 400 = 2 sessions per batch, so five runs take three batches
         spec = load_default_spec({"layout": {"recipients": 400}})
         sizes = []
         real = sim.run_session
@@ -440,7 +439,8 @@ class TestLifetimeRows:
             assert r.reachable, (r.location, r.scheme)
             assert math.isfinite(r.lifetime_years) and r.lifetime_years > 0
             assert math.isfinite(r.rx_hours_per_update)
-        assert sizes == [2, 2, 1] * len(rows)
+        per_batch = max(1, sim.BATCH_RECIPIENTS // 400)
+        assert sizes == [min(per_batch, 5 - first) for first in range(0, 5, per_batch)] * len(rows)
 
 
 class TestSimulationSuite:

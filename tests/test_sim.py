@@ -160,6 +160,26 @@ class TestEnergyBookkeeping:
             want = o.attempts_full * e_fr + o.attempts_preamble_only * e_pr
             assert o.energy_fragments_j == pytest.approx(want, rel=1e-12)
 
+    def test_energy_adds_up_pass_by_pass_across_sfs(self):
+        # every frame is received, so the recipient takes the first
+        # segment's whole budget at SF7, then the rest of its need at SF9,
+        # each in one pass
+        spec = load_default_spec(CLEAN_OVERRIDES)
+        tables = sim._SfTables(spec.phy, spec.network.interferers, PAYLOAD, 1.0)
+        need, budget = 700, 300
+        state = _clean_state([need], sessions=1)
+        rng = np.random.default_rng(15)
+        sent, left = sim._serve_segment(
+            rng, state, tables, 7, budget, np.arange(1), np.zeros(1), 10_000
+        )
+        assert list(sent) == [budget] and list(left) == [0]
+        sent, left = sim._serve_segment(
+            rng, state, tables, 9, 10_000, left, sent * tables.slot_s[0], 10_000
+        )
+        assert list(sent) == [need - budget] and left.size == 0
+        assert state.full_listens[0] == need and state.preamble_listens[0] == 0
+        assert state.energy[0] == budget * tables.e_frame[0] + (need - budget) * tables.e_frame[2]
+
     def test_received_never_exceeds_needed(self):
         spec = load_default_spec({"layout": {"recipients": 40}})
         res = sim.run_session(spec, ProposedScheme(7, 12, 300), np.random.default_rng(6))
@@ -484,11 +504,11 @@ class _PassRecorder:
             self.passes.append(dict(f=f, chunk=chunk_frames, left=budget_left.copy()))
             return f
 
-        def record_verdicts(rng, state, tables, row, active, rate, p_dirty, dirty):
+        def record_verdicts(rng, state, tables, row, active, threshold, rate, p_dirty, dirty):
             self.passes[-1].update(
                 segment=(state, row), active=active.copy(), dirty=dirty.copy()
             )
-            return verdicts(rng, state, tables, row, active, rate, p_dirty, dirty)
+            return verdicts(rng, state, tables, row, active, threshold, rate, p_dirty, dirty)
 
         monkeypatch.setattr(sim, "_pass_lengths", record_lengths)
         monkeypatch.setattr(sim, "_dirty_frame_verdicts", record_verdicts)
@@ -612,7 +632,7 @@ def _clean_state(needs, sessions):
         int_counts=np.zeros(n, dtype=np.int64),
         radius_m=1.0,
         path_loss_exponent=2.7,
-        detect_c=np.zeros((n, 6)),
+        detect_scale=np.zeros(6),
         key=0,
     )
     state.received[:] = state.thresholds - needs
@@ -623,7 +643,7 @@ def _interferer_state(radius_m=1200.0, alpha=2.7, key=12345):
     return sim._SessionState(
         sessions=1, session=np.zeros(1, dtype=np.int64), d_alpha=np.ones(1),
         thresholds=np.ones(1, dtype=np.int64), int_counts=np.array([10**5]),
-        radius_m=radius_m, path_loss_exponent=alpha, detect_c=np.zeros((1, 6)), key=key,
+        radius_m=radius_m, path_loss_exponent=alpha, detect_scale=np.zeros(6), key=key,
     )
 
 
@@ -647,7 +667,6 @@ class TestBatchedSessions:
     """Sessions batched in one state against sessions simulated alone."""
 
     def test_batch_sizes_follow_the_recipient_cap(self, monkeypatch):
-        spec = load_default_spec({"layout": {"recipients": 100}})
         sizes = []
         real = sim.run_session
 
@@ -656,13 +675,35 @@ class TestBatchedSessions:
             return real(*args, sessions=sessions, **kwargs)
 
         monkeypatch.setattr(sim, "run_session", recording)
-        res = sim.run_experiment(spec, FixedSfScheme(12), runs=25, seed=4)
-        assert sizes == [10, 10, 5]
-        assert res.runs == 25
+        # the stock cohort fits many sessions in a batch; 10^4 recipients
+        # fit one, so their three runs take three batches
+        for recipients, runs in ((100, 25), (10**4, 3)):
+            spec = load_default_spec({"layout": {"recipients": recipients}})
+            sizes.clear()
+            res = sim.run_experiment(spec, FixedSfScheme(12), runs=runs, seed=4)
+            per_batch = max(1, sim.BATCH_RECIPIENTS // recipients)
+            assert sizes == [min(per_batch, runs - first) for first in range(0, runs, per_batch)]
+            assert res.runs == runs
+        assert len(sizes) == 3
         sizes.clear()
         monkeypatch.setattr(sim, "BATCH_RECIPIENTS", 1)
-        sim.run_experiment(spec, FixedSfScheme(12), runs=3, seed=4)
+        sim.run_experiment(load_default_spec(), FixedSfScheme(12), runs=3, seed=4)
         assert sizes == [1, 1, 1]
+
+    def test_stock_batch_memory_stays_slim(self):
+        # per-recipient totals instead of (recipients x SF) matrices: one
+        # batch of 80 stock sessions serving the ramp peaked at 3.68 MB with
+        # four such matrices and at 2.33 MB with totals
+        spec = load_default_spec({"layout": {"recipients": 100}})
+        scheme = ProposedScheme(7, 12, 300)
+        sim.run_session(spec, scheme, np.random.default_rng(0), sessions=80)
+        tracemalloc.start()
+        try:
+            sim.run_session(spec, scheme, np.random.default_rng(1), sessions=80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     @pytest.mark.parametrize("density", [STOCK, DENSE], ids=["stock", "dense"])
     @pytest.mark.parametrize("case", ["proposed", "gb-e"])
@@ -675,7 +716,7 @@ class TestBatchedSessions:
             "interferers": {"intensity_per_m2": density},
             "layout": {"recipients": 20},
         })
-        # 51 sessions per batch, then one
+        # the 60 sessions of 20 recipients fill one batch
         batched = _batch_law(spec, scheme, assignment, runs=60, seed=3)
         monkeypatch.setattr(sim, "BATCH_RECIPIENTS", 1)
         alone = _batch_law(spec, scheme, assignment, runs=60, seed=4)
@@ -719,7 +760,7 @@ class TestBatchedSessions:
             assert sent[s] == one_sent[0]
             assert list(one_left + 2 * s) == [g for g in left if batch.session[g] == s]
             for field_ in ("completion_time", "received", "completed", "full_listens",
-                           "preamble_listens"):
+                           "preamble_listens", "energy"):
                 assert np.array_equal(
                     getattr(batch, field_)[mine], getattr(alone, field_), equal_nan=True
                 ), (s, field_)
