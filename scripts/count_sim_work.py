@@ -6,13 +6,17 @@ un-jittered ``simulate`` op once through ``fuotacast.cli.main`` and count
 
 - ``batches``: calls of ``sim.run_session``, one per batch of sessions
 - ``passes``: calls of ``sim._dirty_frame_verdicts``, one per sampler pass
-- ``frames_judged``: detected overlapped frames handed to
-  ``sim._dirty_frame_verdicts`` (each gets a fading draw and overlap verdicts)
+- ``frames_judged``: detected frames with at least one overlap to judge,
+  handed to ``sim._dirty_frame_verdicts`` (each gets a fading draw and
+  overlap verdicts)
 - ``verdict_blocks``: blocks of at most ``sim.VERDICT_BLOCK`` frames those
   passes judge, ``ceil(frames / VERDICT_BLOCK)`` per pass
+- ``overlaps_judged``: interferer overlaps those frames hold, the summed
+  size of ``sim._overlap_frames``' output (each gets an interferer, an SF
+  and a capture verdict)
 
-and the op's exit code. Both functions are wrapped in place; nothing else
-changes. The script reads either form of the kernel's last argument: the
+and the op's exit code. The three functions are wrapped in place; nothing
+else changes. The script reads either form of the kernel's last argument: the
 per-recipient ``dirty`` counts, or the per-frame ``owner`` array the kernel
 took before passes were sized per recipient, so one script counts both
 sides of either change.
@@ -47,8 +51,10 @@ from fuotacast import cli, sim  # noqa: E402
 
 def count(workload: str, seed: int) -> dict:
     verb = next(v for v in workloads.WORKLOADS[workload].verbs if v.verb == "simulate")
-    tally = {"batches": 0, "passes": 0, "frames_judged": 0, "verdict_blocks": 0}
+    tally = {"batches": 0, "passes": 0, "frames_judged": 0, "verdict_blocks": 0,
+             "overlaps_judged": 0}
     real_session, real_verdicts = sim.run_session, sim._dirty_frame_verdicts
+    real_overlaps = sim._overlap_frames
     last_name = list(inspect.signature(real_verdicts).parameters)[-1]
 
     def counting_session(*args, **kwargs):
@@ -63,17 +69,24 @@ def count(workload: str, seed: int) -> dict:
         tally["passes"] += 1
         return real_verdicts(*args, **kwargs)
 
+    def counting_overlaps(*args, **kwargs):
+        cell = real_overlaps(*args, **kwargs)
+        tally["overlaps_judged"] += int(cell.size)
+        return cell
+
     with tempfile.TemporaryDirectory() as work:
         config = Path(work) / "op.yaml"
         config.write_text(yaml.safe_dump(dict(verb.base, name=f"count-{workload}")))
         argv = [verb.verb, "--config", str(config), "--out", str(Path(work) / "out"),
                 "--seed", str(seed), *verb.flags]
         sim.run_session, sim._dirty_frame_verdicts = counting_session, counting_verdicts
+        sim._overlap_frames = counting_overlaps
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main(argv)
         finally:
             sim.run_session, sim._dirty_frame_verdicts = real_session, real_verdicts
+            sim._overlap_frames = real_overlaps
     return dict(tally, exit_code=rc)
 
 

@@ -1,8 +1,9 @@
 """Link geometry and randomness.
 
 Deterministic path loss with unit-mean Rayleigh block fading, the
-interference radius that truncates the interferer field, and samplers plus
-exact count statistics for the Poisson field inside that radius.
+interference radius that truncates the interferer field, and exact count
+statistics for the Poisson field inside that radius. The simulator draws
+fading and the field itself (``sim._draw_interferers``).
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def link_gain_from_antennas(tx_gain: float, rx_gain: float, wavelength_m: float)
     if min(tx_gain, rx_gain, wavelength_m) <= 0.0:
         raise ValueError("antenna gains and wavelength must be positive")
     return tx_gain * rx_gain * (wavelength_m / (4.0 * math.pi)) ** 2
-
-
-def sample_fading(rng: np.random.Generator, size=None):
-    """Unit-mean exponential fading, drawn fresh per frame per link."""
-    return rng.exponential(1.0, size)
 
 
 @dataclass(frozen=True)
@@ -162,14 +158,6 @@ def mean_interferer_count(field: InterfererField, radius_m: float) -> float:
     if radius_m < 0.0:
         raise ValueError("radius must be nonnegative")
     return field.intensity_per_m2 * math.pi * radius_m**2
-
-
-def sample_interferer_distances(
-    radius_m: float, field: InterfererField, rng: np.random.Generator
-) -> np.ndarray:
-    """Poisson count of interferers with the in-disc radial distance law."""
-    count = rng.poisson(mean_interferer_count(field, radius_m))
-    return radius_m * np.sqrt(rng.random(count))
 
 
 def poisson_interferer_pmf(n: int, radius_m: float, field: InterfererField) -> float:

@@ -16,17 +16,31 @@ far below the simulation's statistical resolution.
 The sampler simulates only the frames whose outcome is not already known.
 A recipient's interferers are fixed for the session, so at one SF its
 frames are i.i.d.: a frame clears the detection threshold ``c`` with
-probability ``exp(-c)`` and, independently, overlaps at least one
-interferer frame ("dirty") with probability ``1 - exp(-lambda)``, where
-``lambda`` is the recipient's mean overlap count per frame. An undetected
-frame is a preamble-only listen and a detected clean frame is a reception,
-so each pass draws a recipient's detected count and the dirty count within
-it binomially, and simulates only the detected dirty frames: fading
-conditioned above the threshold, a first overlap at a time conditioned into
-the frame plus a Poisson remainder (zero, at the stock density, for nearly
-every frame, which one uniform decides), and each overlap's SF, source
+probability ``exp(-c)``. An undetected frame is a preamble-only listen
+whatever overlaps it, so only a detected frame's overlaps matter, and of
+those only the ones that can kill it. A recipient's interferers are split
+into a near zone, the centre of the interference disc holding a share
+``q`` of its area, and the far zone around it. Every overlap with a near
+interferer is judged. A far interferer lies beyond the zone edge and a
+detected frame clears the detection threshold, which bounds the chance
+``b`` that a far overlap kills; so far overlaps are thinned (Lewis &
+Shedler, Naval Res. Logist. Q. 1979) to candidates at ``b`` times their
+rate, and each candidate kills with the rest of its chance. Every
+interferer's kill rate, and with it the law, is unchanged. ``q`` minimises
+the judged overlaps summed over the SFs, a rule on the config alone: at
+the stock density it leaves about 2 of some 490 interferers near, and
+``b`` runs from 0.05 (SF7) to 0.20 (SF12).
+
+A detected frame holds at least one candidate ("dirty") with probability
+``1 - exp(-lambda)``, where ``lambda`` is the recipient's mean candidate
+count per frame; a detected clean frame is a reception. So each pass
+draws a recipient's detected count and the dirty count within it
+binomially, and simulates only the detected dirty frames: fading
+conditioned above the threshold, a first candidate at a time conditioned
+into the frame plus a Poisson remainder (zero, at the stock density, for
+nearly every frame, which one uniform decides), and each candidate's zone, SF, source
 interferer and capture verdict, with a preamble share drawn only for the
-overlaps that kill. The detected dirty frames of a pass are judged in
+candidates that kill. The detected dirty frames of a pass are judged in
 blocks of at most ``VERDICT_BLOCK`` frames, each finding its owners from
 the cumulative dirty counts, so a pass's temporaries stay bounded however
 many recipients it serves.
@@ -39,9 +53,11 @@ early in a pass leaves few of its frames unjudged. The frames of a pass are
 exchangeable, so a recipient still ``r`` receptions short completes at the
 ``r``-th of its receptions placed uniformly over the pass (a
 negative-hypergeometric draw), and its full listens before that point are
-a draw without replacement. The cost grows with detected dirty frames plus
-recipients times passes; in a dense field nearly every frame is dirty and
-it approaches one simulated frame per detected recipient-frame.
+a draw without replacement. The cost grows with the candidates of the
+detected dirty frames plus recipients times passes. Thinning judges about a
+fifth of the overlaps: at 2e-3 /m2 a detected SF12 frame holds about 2.2
+candidates against about 10.7 overlaps, though 89 % of those frames still
+hold one and are simulated.
 
 Sessions are simulated in batches that share one state. Recipients are
 independent given their session's timeline, so a batch stacks the
@@ -61,9 +77,11 @@ the path-loss exponent times the SF's sensitivity over the link budget,
 and shrinks them with the active set after each pass.
 
 An interferer's distance is a counter-based draw: SplitMix64 (Steele, Lea
-& Flood, OOPSLA 2014) of the batch's key plus the interferer's slot. The
-same interferer named twice has the same distance, and nothing is stored
-per interferer.
+& Flood, OOPSLA 2014) of the batch's key plus the interferer's slot, made
+uniform in area over the slot's zone. A batch numbers the near interferers
+of all its recipients first, then the far ones, so a slot names its zone.
+The same interferer named twice has the same distance, and nothing is
+stored per interferer.
 """
 
 from __future__ import annotations
@@ -177,8 +195,8 @@ class ExperimentResult:
 class _SfTables:
     """Per-SF constants shared by every session of an experiment."""
 
-    def __init__(self, phy: PhyProfile, field: InterfererField, payload_bytes: int,
-                 duty_cycle_max_percent: float):
+    def __init__(self, phy: PhyProfile, link: LinkModel, field: InterfererField,
+                 payload_bytes: int, duty_cycle_max_percent: float):
         n_sf = len(ALL_SFS)
         self.e_frame = np.zeros(n_sf)
         self.e_preamble = np.zeros(n_sf)
@@ -203,6 +221,34 @@ class _SfTables:
             self.sf_event_cdf[row] = np.cumsum(windows / total) if total > 0 else 1.0
             self.preamble_share[row] = (l_pr + l_bar) / (l_fr + l_bar)
             self.capture[row] = [phy.capture_ratio(s, j) for j in ALL_SFS]
+        # an overlap's SF law per row, the increments of its CDF
+        self.sf_mix = np.diff(self.sf_event_cdf, axis=1, prepend=0.0)
+        sensitivity = np.array([phy.sensitivity_w(s) for s in ALL_SFS])
+        # a recipient detects a frame at SF row r when its fading exceeds
+        # distance**alpha * detect_scale[r]
+        self.detect_scale = sensitivity / (link.link_gain * link.tx_rf_power_w)
+        self.radius_m = interference_radius(link, field, sensitivity[-1])
+        self.near_share = self._near_share(link.path_loss_exponent)
+
+    def _near_share(self, path_loss_exponent: float) -> float:
+        """The share q of the interference disc's area, from its centre, whose
+        interferers are judged one by one; see :func:`_far_law` for the rest.
+
+        Per frame, the judged overlaps are proportional to q + (1 - q) * b_r,
+        where b_r is the far bound of SF row r at the zone edge
+        distance**alpha = radius**alpha * q**(alpha / 2). The q from 1e-6 to 1,
+        twenty per decade, with the least sum over the rows is taken, a rule
+        on the config alone.
+        """
+        q = 10.0 ** (np.arange(-120, 1) / 20.0)
+        # the far law's gap per row (rows) and share (columns)
+        gap = (self.detect_scale * self.radius_m**path_loss_exponent)[:, None] * q ** (
+            path_loss_exponent / 2.0
+        )
+        bound = (
+            self.sf_mix[:, None, :] * np.exp(-gap[:, :, None] / self.capture[:, None, :])
+        ).sum(axis=2)
+        return float(q[np.argmin((q + (1.0 - q) * bound).sum(axis=0))])
 
 
 def _counter_uniform(key: np.uint64, slots: np.ndarray) -> np.ndarray:
@@ -217,22 +263,39 @@ def _counter_uniform(key: np.uint64, slots: np.ndarray) -> np.ndarray:
 
 class _SessionState:
     """Mutable per-recipient bookkeeping for a batch of sessions; recipient
-    ``i`` belongs to session ``session[i]``."""
+    ``i`` belongs to session ``session[i]``.
+
+    Recipient ``i`` has ``int_counts[i]`` interferers, of which
+    ``near_counts[i]`` lie in the near zone, the centre ``near_share`` of the
+    interference disc's area. The batch lays out the near interferers of
+    every recipient first, then the far ones, so a slot's zone is whether it
+    is below ``near_total``.
+    """
 
     def __init__(self, sessions: int, session: np.ndarray, d_alpha: np.ndarray,
                  thresholds: np.ndarray, int_counts: np.ndarray, radius_m: float,
-                 path_loss_exponent: float, detect_scale: np.ndarray, key: np.uint64):
+                 path_loss_exponent: float, detect_scale: np.ndarray, key: np.uint64,
+                 near_counts: Optional[np.ndarray] = None, near_share: float = 0.0):
         n = d_alpha.size
         self.sessions = sessions
         self.session = session
         self.d_alpha = d_alpha
         self.thresholds = thresholds
         self.int_counts = int_counts
-        # recipient i's interferers hold slots int_offsets[i] + 0 .. int_counts[i] - 1
-        self.int_offsets = np.cumsum(int_counts) - int_counts
+        near = np.zeros(n, dtype=np.int64) if near_counts is None else near_counts
+        far = int_counts - near
+        self.near_counts = near
+        self.near_total = int(near.sum())
+        # recipient i's near interferers hold slots near_offsets[i] + 0 ..
+        # near_counts[i] - 1, its far ones far_offsets[i] + 0 .. far count - 1
+        self.near_offsets = np.cumsum(near) - near
+        self.far_offsets = self.near_total + np.cumsum(far) - far
         self.key = np.uint64(key)
+        self.near_share = near_share
         self.radius_alpha = radius_m**path_loss_exponent
         self.half_alpha = path_loss_exponent / 2.0
+        # distance**alpha of the zone edge, the least a far interferer has
+        self.far_edge_alpha = self.radius_alpha * near_share**self.half_alpha
         # recipient i detects a frame at SF row r when its fading exceeds
         # d_alpha[i] * detect_scale[r]
         self.detect_scale = detect_scale
@@ -243,10 +306,44 @@ class _SessionState:
         self.preamble_listens = np.zeros(n, dtype=np.int64)
         self.energy = np.zeros(n)
 
+    def candidate_weight(self, recipients: np.ndarray, bound: float) -> np.ndarray:
+        """Each recipient's near count plus its far count times the far
+        ``bound`` (see :func:`_far_law`): its mean candidate overlaps per frame
+        over the overlap rate per interferer."""
+        near = self.near_counts[recipients]
+        return near + (self.int_counts[recipients] - near) * bound
+
+    def interferer_slots(self, recipients: np.ndarray, nth: np.ndarray) -> np.ndarray:
+        """Slot of interferer ``nth`` (0 .. count - 1) of each of
+        ``recipients``, numbering its near interferers first."""
+        near = self.near_counts[recipients]
+        return np.where(
+            nth < near,
+            self.near_offsets[recipients] + nth,
+            self.far_offsets[recipients] + (nth - near),
+        )
+
     def interferer_u_alpha(self, slots: np.ndarray) -> np.ndarray:
         """distance**alpha of the interferers at ``slots``, from the in-disc
-        radial law; a slot always gives the same value."""
-        return self.radius_alpha * _counter_uniform(self.key, slots) ** self.half_alpha
+        radial law restricted to each slot's zone; a slot always gives the
+        same value."""
+        v = _counter_uniform(self.key, slots)
+        q = self.near_share
+        # the area share inside the interferer's distance, uniform on the zone
+        u = np.where(slots < self.near_total, q * v, q + (1.0 - q) * v)
+        return self.radius_alpha * u**self.half_alpha
+
+
+def _draw_interferers(
+    rng: np.random.Generator, mean_count: float, near_share: float, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interferer counts of ``size`` recipients, Poisson(``mean_count``), and
+    how many of each lie in the near zone, Binomial(count, ``near_share``).
+    With their distances uniform in area over each zone, as
+    :meth:`_SessionState.interferer_u_alpha` draws them, this is the Poisson
+    field of the interference disc."""
+    counts = rng.poisson(mean_count, size=size)
+    return counts, rng.binomial(counts, near_share)
 
 
 def _overlap_frames(rng: np.random.Generator, rate: np.ndarray, p_dirty: np.ndarray) -> np.ndarray:
@@ -280,6 +377,31 @@ def _interferer_sf_rows(sf_cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return j
 
 
+def _far_law(
+    state: _SessionState, tables: _SfTables, row: int
+) -> tuple[float, float, np.ndarray]:
+    """The thinned law of far-zone overlaps at SF row ``row``.
+
+    A detected frame's level (fading over path loss) is at least
+    ``detect_scale[row]`` and a far interferer's distance**alpha at least
+    ``far_edge_alpha``, so their product is at least ``gap``, and an SF-j
+    overlap from a far interferer kills with chance at most
+    ``exp(-gap / c_j)``. Far overlaps are replaced by candidates at
+    ``bound`` = sum_j pi_j exp(-gap / c_j) times their rate, each with an SF
+    drawn from the returned CDF of pi_j exp(-gap / c_j) / bound; a candidate
+    kills when an exponential exceeds (level * distance**alpha - gap) / c_j.
+    That keeps every (interferer, SF) pair's kill rate, so the law is exact
+    (Poisson thinning; Lewis & Shedler, Naval Res. Logist. Q. 1979). With
+    ``near_share`` 0, ``gap`` is 0 and the candidates are the overlaps.
+    """
+    gap = state.detect_scale[row] * state.far_edge_alpha
+    tilt = tables.sf_mix[row] * np.exp(-gap / tables.capture[row])
+    # at least the least normal float, so that a bound lost to underflow
+    # leaves no far candidate rather than a division by zero
+    bound = max(float(tilt.sum()), np.finfo(float).tiny)
+    return gap, bound, np.cumsum(tilt / bound)
+
+
 def _dirty_frame_verdicts(
     rng: np.random.Generator,
     state: _SessionState,
@@ -287,15 +409,23 @@ def _dirty_frame_verdicts(
     row: int,
     active: np.ndarray,
     threshold: np.ndarray,
-    rate: np.ndarray,
+    weight: np.ndarray,
     p_dirty: np.ndarray,
+    far_law: tuple[float, float, np.ndarray],
     dirty: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receptions and full listens without a reception among the ``dirty[i]``
-    detected frames of recipient ``active[i]`` that overlap at least one
-    interferer frame; ``threshold`` is each active recipient's detection
-    threshold, ``rate`` its mean overlap count per frame and ``p_dirty`` its
-    chance of at least one.
+    detected frames of recipient ``active[i]`` that hold at least one
+    candidate overlap; ``threshold`` is each active recipient's detection
+    threshold, ``weight`` its :meth:`_SessionState.candidate_weight` at the
+    bound of ``far_law``, so that its mean candidate count per frame is the
+    overlap rate per interferer times ``weight``, and ``p_dirty`` its chance
+    of at least one.
+
+    A candidate is a near overlap with chance near count over ``weight``,
+    from a uniform near interferer and an SF of the overlap law, and
+    otherwise a far candidate, from a uniform far interferer and an SF of the
+    tilted law.
 
     The frames are judged in blocks of at most ``VERDICT_BLOCK``, recipient
     after recipient, and each block finds its owners from the cumulative
@@ -308,8 +438,8 @@ def _dirty_frame_verdicts(
     starts = ends - dirty
     frames = int(ends[-1])
     path_loss = state.d_alpha[active]
-    counts = state.int_counts[active]
-    offsets = state.int_offsets[active]
+    rho = tables.event_rate_per_interferer[row]
+    gap, bound, far_cdf = far_law
     sf_cdf, capture = tables.sf_event_cdf[row], tables.capture[row]
     for lo in range(0, frames, VERDICT_BLOCK):
         hi = min(lo + VERDICT_BLOCK, frames)
@@ -323,14 +453,25 @@ def _dirty_frame_verdicts(
         # exponential fading conditioned on clearing the detection threshold,
         # over the path loss
         level = (threshold[mine] + rng.exponential(1.0, size=n)) / path_loss[mine]
-        cell = _overlap_frames(rng, rate[mine], p_dirty[mine])
+        cell = _overlap_frames(rng, rho * weight[mine], p_dirty[mine])
         total = cell.size
         src = mine[cell]
-        j = _interferer_sf_rows(sf_cdf, rng.random(total))
-        slots = offsets[src] + (rng.random(total) * counts[src]).astype(np.int64)
+        owner = active[src]
+        # x is uniform over the weight: below the near count it names a near
+        # interferer, and above it a far one, each spanning ``bound`` of it
+        x = rng.random(total) * weight[src]
+        near = state.near_counts[owner]
+        far = x >= near
+        nth = np.where(far, np.minimum(near + (x - near) / bound, state.int_counts[owner] - 1), x)
+        slots = state.interferer_slots(owner, nth.astype(np.int64))
+        u = rng.random(total)
+        j = _interferer_sf_rows(far_cdf, u)
+        close = np.flatnonzero(~far)
+        j[close] = _interferer_sf_rows(sf_cdf, u[close])
         # the overlap kills when the interferer's fading pushes its power past
-        # the desired power over the capture threshold
-        limit = level[cell] * state.interferer_u_alpha(slots) / capture[j]
+        # the desired power over the capture threshold; a far candidate, kept
+        # with chance exp(-gap / c_j), needs only the margin beyond the gap
+        limit = (level[cell] * state.interferer_u_alpha(slots) - gap * far) / capture[j]
         kill = np.flatnonzero(rng.exponential(1.0, size=total) > limit)
         in_pre = rng.random(kill.size) < tables.preamble_share[row, j[kill]]
         killed = np.zeros(n, dtype=bool)
@@ -412,19 +553,20 @@ def _serve_segment(
     # the segment's per-recipient constants, shrunk with ``active`` each pass
     threshold = state.d_alpha[active] * state.detect_scale[row]
     p = np.exp(-threshold)
-    rate = tables.event_rate_per_interferer[row] * state.int_counts[active]
-    p_dirty = -np.expm1(-rate)
+    far_law = _far_law(state, tables, row)
+    weight = state.candidate_weight(active, far_law[1])
+    p_dirty = -np.expm1(-tables.event_rate_per_interferer[row] * weight)
     e_full, e_preamble = tables.e_frame[row], tables.e_preamble[row]
     while active.size > 0:
         need = state.thresholds[active] - state.received[active]
         f = _pass_lengths(need, p, chunk_frames, max_frames - passed)
         # an undetected frame is a preamble-only listen whatever overlaps
-        # it, and a detected one that overlaps no interferer frame is
-        # received; only detected overlapped frames need simulating
+        # it, and a detected one that holds no candidate overlap is received;
+        # only detected frames with a candidate need simulating
         detected = rng.binomial(f, p)
         dirty = rng.binomial(detected, p_dirty)
         ok, heard_lost = _dirty_frame_verdicts(
-            rng, state, tables, row, active, threshold, rate, p_dirty, dirty
+            rng, state, tables, row, active, threshold, weight, p_dirty, far_law, dirty
         )
         got = detected - dirty + ok
 
@@ -453,7 +595,7 @@ def _serve_segment(
         np.maximum.at(sent, state.session[active[leave]], passed[leave])
         stay = ~leave
         active, passed = active[stay], passed[stay]
-        threshold, p, rate, p_dirty = threshold[stay], p[stay], rate[stay], p_dirty[stay]
+        threshold, p, weight, p_dirty = threshold[stay], p[stay], weight[stay], p_dirty[stay]
     return sent, members[~state.completed[members]]
 
 
@@ -504,7 +646,7 @@ def run_session(
     code = code or spec.firmware.code
     if tables is None:
         tables = _SfTables(
-            phy, fld, spec.firmware.fragment_payload_bytes, net.duty_cycle_max_percent
+            phy, link, fld, spec.firmware.fragment_payload_bytes, net.duty_cycle_max_percent
         )
 
     if distances is None:
@@ -514,22 +656,23 @@ def run_session(
     n = distances.size
     session = np.repeat(np.arange(sessions), n // sessions)
 
-    radius_i = interference_radius(link, fld, phy.sensitivity_w(max(ALL_SFS)))
-    counts = rng.poisson(mean_interferer_count(fld, radius_i), size=n)
+    counts, near = _draw_interferers(
+        rng, mean_interferer_count(fld, tables.radius_m), tables.near_share, n
+    )
     thresholds = code.sample_completion_threshold(rng, size=n)
 
-    d_alpha = distances**link.path_loss_exponent
-    sensitivity = np.array([phy.sensitivity_w(s) for s in ALL_SFS])
     state = _SessionState(
         sessions=sessions,
         session=session,
-        d_alpha=d_alpha,
+        d_alpha=distances**link.path_loss_exponent,
         thresholds=np.asarray(thresholds, dtype=np.int64),
         int_counts=counts,
-        radius_m=radius_i,
+        radius_m=tables.radius_m,
         path_loss_exponent=link.path_loss_exponent,
-        detect_scale=sensitivity / (link.link_gain * link.tx_rf_power_w),
+        detect_scale=tables.detect_scale,
         key=rng.integers(2**64, dtype=np.uint64),
+        near_counts=near,
+        near_share=tables.near_share,
     )
 
     cap = attempts_cap(spec, code)
@@ -585,8 +728,8 @@ def session_batches(
     :func:`run_session`."""
     per_batch = max(1, BATCH_RECIPIENTS // spec.layout.recipients)
     tables = _SfTables(
-        spec.phy, spec.network.interferers, spec.firmware.fragment_payload_bytes,
-        spec.network.duty_cycle_max_percent,
+        spec.phy, spec.network.link, spec.network.interferers,
+        spec.firmware.fragment_payload_bytes, spec.network.duty_cycle_max_percent,
     )
     children = np.random.SeedSequence(seed).spawn(-(-runs // per_batch))
     for b, child in enumerate(children):

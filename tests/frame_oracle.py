@@ -49,7 +49,7 @@ def serve_segment_by_frame(
                 j = np.searchsorted(tables.sf_event_cdf[row], rng.random(total), side="right")
                 j = np.minimum(j, len(ALL_SFS) - 1)
                 src_local = (rng.random(total) * state.int_counts[g]).astype(np.int64)
-                u_alpha = state.interferer_u_alpha(state.int_offsets[g] + src_local)
+                u_alpha = state.interferer_u_alpha(state.interferer_slots(g, src_local))
                 a_event = fading.ravel()[cell]
                 limit = a_event * u_alpha / (state.d_alpha[g] * tables.capture[row, j])
                 kill = rng.exponential(1.0, size=total) > limit

@@ -26,6 +26,7 @@ from fuotacast.lifetime import DutyProfile, battery_lifetime_years
 from fuotacast.schemes import FixedSfScheme, session_plan
 
 from test_phy import AIRTIME_TABLE
+from test_sim import _interferer_state
 
 # distance-averaged reference values for the default six-scheme scenario,
 # checked at 25% tolerance
@@ -476,19 +477,29 @@ class TestPropertyGates:
         assert ok, (partition, energy_ok, duty_ok)
 
     def test_sampler_statistics(self, capsys, phy, link, field):
+        # the draws the simulator makes: the verdict kernel's fading, then
+        # run_session's interferer counts with their near-zone split and
+        # the counter-based distances of each slot
         rng = np.random.default_rng(99)
-        fading = channel.sample_fading(rng, 1_000_000)
+        fading = rng.exponential(1.0, 1_000_000)
         mean_ok = abs(float(fading.mean()) - 1.0) <= 0.01
         tail_ok = abs(float((fading > 1.0).mean()) - math.exp(-1.0)) <= 0.005
 
+        tables = sim._SfTables(phy, link, field, field.payload_bytes, 1.0)
         radius = channel.interference_radius(link, field, phy.sensitivity_w(12))
         expect = channel.mean_interferer_count(field, radius)
-        total = inner = 0
         draws = 100_000
-        for _ in range(draws):
-            dist = channel.sample_interferer_distances(radius, field, rng)
-            total += dist.size
-            inner += int((dist <= radius / 2.0).sum())
+        counts, near = sim._draw_interferers(rng, expect, tables.near_share, draws)
+        state = _interferer_state(
+            radius, link.path_loss_exponent, rng.integers(2**64, dtype=np.uint64), counts,
+            near_counts=near, near_share=tables.near_share,
+        )
+        total = int(counts.sum())
+        half = (radius / 2.0) ** link.path_loss_exponent
+        inner = 0
+        for lo in range(0, total, 2**21):
+            slots = np.arange(lo, min(lo + 2**21, total))
+            inner += int((state.interferer_u_alpha(slots) <= half).sum())
         count_ok = abs(total / draws - expect) <= 0.01 * expect
         cdf_ok = abs(inner / total - 0.25) <= 0.01
 

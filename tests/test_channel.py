@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from test_sim import _interferer_state
 
+from fuotacast import sim
 from fuotacast.channel import (
     InterfererField,
     LinkModel,
@@ -14,8 +16,6 @@ from fuotacast.channel import (
     link_gain_from_antennas,
     mean_interferer_count,
     poisson_interferer_pmf,
-    sample_fading,
-    sample_interferer_distances,
 )
 
 # radius inside which an SF12 interferer is still detectable at the stock
@@ -147,36 +147,49 @@ class TestInterfererCounts:
         np.testing.assert_allclose(weights, want / want.sum(), rtol=1e-15, atol=0.0)
 
 
+def _simulated_field(phy, link, field, radius_m, rng, recipients):
+    """Interferer counts and distances of ``recipients`` recipients inside
+    ``radius_m``, drawn as the simulator draws them: counts with their
+    near-zone split, then the counter-based distance of each slot."""
+    tables = sim._SfTables(phy, link, field, field.payload_bytes, 1.0)
+    counts, near = sim._draw_interferers(
+        rng, mean_interferer_count(field, radius_m), tables.near_share, recipients
+    )
+    state = _interferer_state(
+        radius_m, link.path_loss_exponent, rng.integers(2**64, dtype=np.uint64), counts,
+        near_counts=near, near_share=tables.near_share,
+    )
+    u_alpha = state.interferer_u_alpha(np.arange(counts.sum()))
+    return counts, u_alpha ** (1.0 / link.path_loss_exponent)
+
+
 class TestSamplers:
     def test_fading_moments(self, rng):
-        a = sample_fading(rng, 200_000)
+        # the verdict kernel's fading draw
+        a = rng.exponential(1.0, 200_000)
         assert a.mean() == pytest.approx(1.0, abs=0.01)
         # exponential tail: P(A > 1) = 1/e
         assert (a > 1.0).mean() == pytest.approx(math.exp(-1.0), abs=0.005)
 
-    def test_interferer_distances_inside_radius(self, field, rng):
+    def test_interferer_distances_inside_radius(self, phy, link, field, rng):
         r = 500.0
-        d = sample_interferer_distances(r, field, rng)
+        _, d = _simulated_field(phy, link, field, r, rng, 1)
         assert np.all(d <= r)
         assert np.all(d >= 0)
 
-    def test_interferer_distance_distribution(self, field, rng):
+    def test_interferer_distance_distribution(self, phy, link, field, rng):
         # uniform over the disc: E[d] = 2r/3, E[d^2] = r^2/2
         r = 1000.0
-        pooled = np.concatenate(
-            [sample_interferer_distances(r, field, rng) for _ in range(3000)]
-        )
+        _, pooled = _simulated_field(phy, link, field, r, rng, 3000)
         n = pooled.size
         se_mean = r * math.sqrt(1.0 / 18.0) / math.sqrt(n)  # Var[d] = r^2/18
         assert pooled.mean() == pytest.approx(2.0 * r / 3.0, abs=4 * se_mean)
         assert (pooled ** 2).mean() == pytest.approx(r ** 2 / 2.0, rel=0.02)
 
-    def test_interferer_count_is_poisson(self, field, rng):
+    def test_interferer_count_is_poisson(self, phy, link, field, rng):
         r = 300.0
         mu = mean_interferer_count(field, r)
-        counts = np.array(
-            [sample_interferer_distances(r, field, rng).size for _ in range(4000)]
-        )
+        counts, _ = _simulated_field(phy, link, field, r, rng, 4000)
         se = math.sqrt(mu / counts.size)
         assert counts.mean() == pytest.approx(mu, abs=4 * se)
         assert counts.var() == pytest.approx(mu, rel=0.15)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from frame_oracle import serve_segment_by_frame
 from hypothesis import example, given, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from fuotacast import analysis, sim
 from fuotacast.config import load_default_spec
@@ -40,6 +40,11 @@ CLEAN_OVERRIDES = {
 
 def _ideal(spec):
     return dataclasses.replace(spec.firmware.code, mode="ideal")
+
+
+def _tables(spec):
+    net = spec.network
+    return sim._SfTables(spec.phy, net.link, net.interferers, PAYLOAD, 1.0)
 
 
 class TestCleanChannelExactness:
@@ -165,7 +170,7 @@ class TestEnergyBookkeeping:
         # segment's whole budget at SF7, then the rest of its need at SF9,
         # each in one pass
         spec = load_default_spec(CLEAN_OVERRIDES)
-        tables = sim._SfTables(spec.phy, spec.network.interferers, PAYLOAD, 1.0)
+        tables = _tables(spec)
         need, budget = 700, 300
         state = _clean_state([need], sessions=1)
         rng = np.random.default_rng(15)
@@ -422,7 +427,7 @@ class TestSamplerMatchesFrameOracle:
 
     def test_saturated_field_overlaps_almost_every_frame(self):
         spec = load_default_spec({"interferers": {"intensity_per_m2": DENSE}})
-        tables = sim._SfTables(spec.phy, spec.network.interferers, PAYLOAD, 1.0)
+        tables = _tables(spec)
         radius = sim.interference_radius(
             spec.network.link, spec.network.interferers, spec.phy.sensitivity_w(12)
         )
@@ -504,11 +509,12 @@ class _PassRecorder:
             self.passes.append(dict(f=f, chunk=chunk_frames, left=budget_left.copy()))
             return f
 
-        def record_verdicts(rng, state, tables, row, active, threshold, rate, p_dirty, dirty):
+        def record_verdicts(rng, state, tables, row, active, *args):
+            dirty = args[-1]
             self.passes[-1].update(
                 segment=(state, row), active=active.copy(), dirty=dirty.copy()
             )
-            return verdicts(rng, state, tables, row, active, threshold, rate, p_dirty, dirty)
+            return verdicts(rng, state, tables, row, active, *args)
 
         monkeypatch.setattr(sim, "_pass_lengths", record_lengths)
         monkeypatch.setattr(sim, "_dirty_frame_verdicts", record_verdicts)
@@ -639,11 +645,15 @@ def _clean_state(needs, sessions):
     return state
 
 
-def _interferer_state(radius_m=1200.0, alpha=2.7, key=12345):
+def _interferer_state(radius_m=1200.0, alpha=2.7, key=12345, counts=(10**5,), **zones):
+    """A state holding only an interferer field, one recipient per entry of
+    ``counts``; ``zones`` may give ``near_counts`` and ``near_share``."""
+    n = len(counts)
     return sim._SessionState(
-        sessions=1, session=np.zeros(1, dtype=np.int64), d_alpha=np.ones(1),
-        thresholds=np.ones(1, dtype=np.int64), int_counts=np.array([10**5]),
+        sessions=1, session=np.zeros(n, dtype=np.int64), d_alpha=np.ones(n),
+        thresholds=np.ones(n, dtype=np.int64), int_counts=np.asarray(counts),
         radius_m=radius_m, path_loss_exponent=alpha, detect_scale=np.zeros(6), key=key,
+        **zones,
     )
 
 
@@ -741,7 +751,7 @@ class TestBatchedSessions:
         # chunks of 512 frames: the sessions finish on passes 1, 2 and 3,
         # and the last one is cut by the 2,000-frame budget
         spec = load_default_spec(CLEAN_OVERRIDES)
-        tables = sim._SfTables(spec.phy, spec.network.interferers, PAYLOAD, 1.0)
+        tables = _tables(spec)
         needs = [[5, 3], [700, 650], [1400, 1500], [2500, 10]]
         t_start = np.array([0.0, 12.5, 1e4 / 3.0, 7.0])
         batch = _clean_state(np.concatenate(needs), sessions=4)
@@ -804,6 +814,136 @@ class TestCounterBasedDraws:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestNearFarZones:
+    """The split of each recipient's interferers into a near zone, the
+    centre ``near_share`` of the disc's area, and a far zone."""
+
+    Q, MEAN, RECIPIENTS = 0.3, 30.0, 20_000
+
+    def _zoned(self, seed=41):
+        counts, near = sim._draw_interferers(
+            np.random.default_rng(seed), self.MEAN, self.Q, self.RECIPIENTS
+        )
+        return counts, near, _interferer_state(
+            counts=counts, near_counts=near, near_share=self.Q, key=seed
+        )
+
+    def test_near_count_is_binomial_given_the_count(self):
+        counts, near, _ = self._zoned()
+        assert np.all((near >= 0) & (near <= counts))
+        # expected recipients per near count: each recipient's Binomial(K_i, q)
+        # pmf, summed; the tails are pooled until each cell expects five
+        values = np.arange(counts.max() + 1)
+        expected = stats.binom.pmf(values[:, None], counts[None, :], self.Q).sum(axis=1)
+        observed = np.bincount(near, minlength=values.size)
+        ok = np.flatnonzero(expected >= 5.0)
+        lo, hi = ok[0], ok[-1]
+
+        def pooled(x):
+            return np.concatenate(([x[:lo + 1].sum()], x[lo + 1:hi], [x[hi:].sum()]))
+
+        assert stats.chisquare(pooled(observed), pooled(expected)).pvalue > 1e-3
+
+    def test_every_interferer_has_its_own_slot(self):
+        counts, _, state = self._zoned()
+        owner = np.repeat(np.arange(counts.size), counts)
+        local = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        slots = state.interferer_slots(owner, local)
+        assert np.array_equal(np.sort(slots), np.arange(owner.size))
+
+    def test_radial_cdf_is_the_near_share_at_the_zone_edge(self):
+        counts, near, state = self._zoned()
+        slots = np.arange(counts.sum())
+        u_alpha = state.interferer_u_alpha(slots)
+        edge = state.far_edge_alpha
+        assert edge == pytest.approx(1200.0**2.7 * self.Q**1.35, rel=1e-12)
+        # a slot's zone is exactly whether its distance is inside the edge
+        inside = u_alpha < edge
+        assert np.array_equal(inside, slots < near.sum())
+        se = math.sqrt(self.Q * (1.0 - self.Q) / slots.size)
+        assert abs(inside.mean() - self.Q) < 4.0 * se
+
+    def test_radial_cdf_at_half_radius(self):
+        counts, _, state = self._zoned()
+        u_alpha = state.interferer_u_alpha(np.arange(counts.sum()))
+        inner = float(np.mean(u_alpha <= 600.0**2.7))
+        assert inner == pytest.approx(0.25, abs=0.01)
+
+
+def _verdict_law(tables, row, d_alpha, u_alpha):
+    """Probabilities that one detected frame is received, killed in its
+    preamble, and killed after it, by quadrature over the fading: given the
+    level L, the overlaps of interferer k at SF j kill at the rate
+    rho * pi_j * exp(-L * u_k / c_j), a share of them in the preamble."""
+    rho = tables.event_rate_per_interferer[row]
+    mix, capture = tables.sf_mix[row], tables.capture[row]
+    pre = tables.preamble_share[row]
+    scale = tables.detect_scale[row]
+
+    def rates(e):
+        level = scale + e / d_alpha
+        kill = rho * (mix * np.exp(-level * u_alpha[:, None] / capture)).sum(axis=0)
+        return (kill * pre).sum(), (kill * (1.0 - pre)).sum()
+
+    def killed_pre(e):
+        return -math.expm1(-rates(e)[0]) * math.exp(-e)
+
+    def killed_after(e):
+        in_pre, after = rates(e)
+        return math.exp(-in_pre) * -math.expm1(-after) * math.exp(-e)
+
+    p_pre = integrate.quad(killed_pre, 0.0, np.inf, epsabs=0.0, epsrel=1e-10)[0]
+    p_after = integrate.quad(killed_after, 0.0, np.inf, epsabs=0.0, epsrel=1e-10)[0]
+    return np.array([1.0 - p_pre - p_after, p_pre, p_after])
+
+
+class TestThinnedVerdicts:
+    """The verdict kernel's outcomes for one recipient with a known small
+    interferer field, against the exact per-frame law."""
+
+    @pytest.mark.parametrize("near_share,near", [(0.0, 0), (0.2, 2)], ids=["unthinned", "zoned"])
+    def test_outcomes_match_the_exact_law(self, near_share, near):
+        spec = load_default_spec()
+        tables = _tables(spec)
+        alpha = spec.network.link.path_loss_exponent
+        # SF10 at 700 m; at near share 0.2 the zone edge is 793 m, so the far
+        # interferers sit close enough to kill often and a wrong gap or SF
+        # tilt in the far law shows
+        row, d_alpha, count, frames = 3, 700.0**alpha, 6, 200_000
+        # recipient 1 is judged; recipient 0 holds other interferers, all
+        # near when there is a near zone, so that a slot lookup that mixes
+        # the two up shows
+        state = sim._SessionState(
+            sessions=1, session=np.zeros(2, dtype=np.int64), d_alpha=np.full(2, d_alpha),
+            thresholds=np.ones(2, dtype=np.int64), int_counts=np.array([count, count]),
+            radius_m=tables.radius_m, path_loss_exponent=alpha,
+            detect_scale=tables.detect_scale, key=2024,
+            near_counts=np.array([count if near_share > 0 else 0, near]), near_share=near_share,
+        )
+        u_alpha = state.interferer_u_alpha(
+            state.interferer_slots(np.ones(count, dtype=np.int64), np.arange(count))
+        )
+        law = _verdict_law(tables, row, d_alpha, u_alpha)
+
+        # as _serve_segment sets up a segment
+        active = np.array([1])
+        far_law = sim._far_law(state, tables, row)
+        weight = state.candidate_weight(active, far_law[1])
+        p_dirty = -np.expm1(-tables.event_rate_per_interferer[row] * weight)
+        threshold = state.d_alpha[active] * tables.detect_scale[row]
+        ok, heard_lost = sim._dirty_frame_verdicts(
+            np.random.default_rng(77), state, tables, row, active, threshold,
+            weight, p_dirty, far_law, np.array([frames]),
+        )
+        observed = np.array([ok[0], frames - ok[0] - heard_lost[0], heard_lost[0]])
+        # the kernel judges frames with at least one candidate; the others
+        # are received
+        kills = law[1:] / p_dirty[0]
+        expected = frames * np.concatenate(([1.0 - kills.sum()], kills))
+        assert expected.min() > 100.0
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 class TestCompletionPlacement:
