@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analysis, lifetime, sim
-from .config import ExperimentSpec
+from .config import ExperimentSpec, spec_from_mapping
 from .fec import RatelessModel
 from .phy import ALL_SFS
 from .schemes import GroupBasedScheme, ProposedScheme, Scheme, Segment, session_plan
@@ -339,16 +339,10 @@ def density_sweep(
     """Distance-averaged metrics of every configured scheme per interferer
     density (the traffic-impact table shape)."""
     rows = []
+    config = spec.to_dict()
     for lam in intensities:
-        dense = dataclasses.replace(
-            spec,
-            network=dataclasses.replace(
-                spec.network,
-                interferers=dataclasses.replace(
-                    spec.network.interferers, intensity_per_m2=float(lam)
-                ),
-            ),
-        )
+        config["interferers"]["intensity_per_m2"] = float(lam)
+        dense = spec_from_mapping(config)
         for summary in run_suite(dense, "analysis")[1]:
             rows.append(
                 DensityRow(

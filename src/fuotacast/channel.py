@@ -37,18 +37,6 @@ class LinkModel:
         if self.tx_rf_power_w <= 0.0:
             raise ValueError("tx_rf_power_w must be positive")
 
-    def received_power(self, distance_m: float, fading_coeff: float = 1.0) -> float:
-        if distance_m <= 0.0:
-            raise ValueError("distance must be positive")
-        if fading_coeff < 0.0:
-            raise ValueError("fading coefficient must be nonnegative")
-        return (
-            self.link_gain
-            * self.tx_rf_power_w
-            * fading_coeff
-            * distance_m ** -self.path_loss_exponent
-        )
-
     def outage_threshold(self, sensitivity_w: float, distance_m: float) -> float:
         """Fading level below which the received power misses the sensitivity floor."""
         if sensitivity_w <= 0.0:
@@ -64,13 +52,6 @@ class LinkModel:
     def detection_probability(self, sensitivity_w: float, distance_m: float) -> float:
         """Chance that one frame clears the sensitivity floor, interference aside."""
         return math.exp(-self.outage_threshold(sensitivity_w, distance_m))
-
-
-def link_gain_from_antennas(tx_gain: float, rx_gain: float, wavelength_m: float) -> float:
-    """Aggregate link gain from its antenna-gain and wavelength constituents."""
-    if min(tx_gain, rx_gain, wavelength_m) <= 0.0:
-        raise ValueError("antenna gains and wavelength must be positive")
-    return tx_gain * rx_gain * (wavelength_m / (4.0 * math.pi)) ** 2
 
 
 @dataclass(frozen=True)
@@ -158,16 +139,6 @@ def mean_interferer_count(field: InterfererField, radius_m: float) -> float:
     if radius_m < 0.0:
         raise ValueError("radius must be nonnegative")
     return field.intensity_per_m2 * math.pi * radius_m**2
-
-
-def poisson_interferer_pmf(n: int, radius_m: float, field: InterfererField) -> float:
-    """P(exactly n interferers inside the interference radius)."""
-    if n < 0:
-        return 0.0
-    mean = mean_interferer_count(field, radius_m)
-    if mean == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return float(math.exp(specfun.poisson_log_pmf(n, mean)))
 
 
 @functools.lru_cache(maxsize=8)

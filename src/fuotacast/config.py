@@ -1,14 +1,22 @@
 """Experiment configuration.
 
-One YAML file describes an experiment end to end. Loading merges the user
-file over the packaged defaults (mappings merge key by key, lists and
-scalars replace wholesale), rejects keys the schema does not know, and
-materializes typed objects. ``name`` and ``schemes`` must always come from
-the user file so no experiment silently runs under a default identity.
+One YAML file describes an experiment end to end, and the packaged
+``defaults.yaml`` is its only schema. Loading merges the user file over the
+defaults (mappings merge key by key, lists and scalars replace wholesale)
+and then casts the merged dict to its canonical form in one walk against
+the defaults: every key must be one the defaults have, every leaf takes the
+type of its default, the spreading-factor maps get int keys, and each entry
+of a list of mappings (``lifetime.locations``) must hold every key of the
+default's first entry. A null ``firmware.fragment_payload_bytes`` becomes
+ceil(image_bytes / fragments). The fingerprint is the sha256 of that
+canonical dict as sorted, compact JSON, and every typed section is built by
+keyword from it. ``name`` and ``schemes`` must always come from the user
+file so no experiment silently runs under a default identity.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import difflib
 import hashlib
@@ -196,6 +204,10 @@ class ExperimentSpec:
     sim: SimOptions
     sweep: SweepOptions
     lifetime: LifetimeConfig
+    # the canonical config of the typed sections above, as they were built;
+    # a dataclasses.replace of a section leaves it stale, so derive variants
+    # with spec_from_mapping from to_dict() instead
+    sections: dict = dataclasses.field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -216,94 +228,16 @@ class ExperimentSpec:
         return self.layout.bin_distances(self.network.cell_radius_m)
 
     def to_dict(self) -> dict:
-        phy, net, fld, fw = self.phy, self.network, self.network.interferers, self.firmware
+        """The canonical config: the sections as loaded, with the identity
+        fields and the schemes read from this spec, so a
+        ``dataclasses.replace`` of the seed shows in the fingerprint."""
         return {
+            **copy.deepcopy(self.sections),
             "name": self.name,
             "mode": self.mode,
             "seed": int(self.seed),
             "output_dir": self.output_dir,
             "schemes": [_scheme_to_dict(s) for s in self.schemes],
-            "phy": {
-                "bandwidth_hz": float(phy.bandwidth_hz),
-                "preamble_symbols": int(phy.preamble_symbols),
-                "header_flag": int(phy.header_flag),
-                "coding_rate_index": int(phy.coding_rate_index),
-                "ldro_sfs": [int(s) for s in phy.ldro_sfs],
-                "rx_power_w": float(phy.rx_power_w),
-                "tx_power_w": float(phy.tx_power_w),
-                "tx_rf_power_dbm": float(phy.tx_rf_power_dbm),
-                "sensitivity_dbm": {int(k): float(v) for k, v in phy.sensitivity_dbm.items()},
-                "capture_threshold_db": {
-                    int(i): {int(j): float(v) for j, v in row.items()}
-                    for i, row in phy.capture_threshold_db.items()
-                },
-            },
-            "network": {
-                "cell_radius_m": float(net.cell_radius_m),
-                "path_loss_exponent": float(net.link.path_loss_exponent),
-                "link_gain": float(net.link.link_gain),
-                "duty_cycle_max_percent": float(net.duty_cycle_max_percent),
-                "control_listen_s": float(net.control_listen_s),
-                "ack_payload_bytes": int(net.ack_payload_bytes),
-                "ack_uplink_sf": int(net.ack_uplink_sf),
-            },
-            "interferers": {
-                "intensity_per_m2": float(fld.intensity_per_m2),
-                "frame_rate_hz": float(fld.frame_rate_hz),
-                "channel_count": int(fld.channel_count),
-                "payload_bytes": int(fld.payload_bytes),
-                "detection_epsilon": float(fld.detection_epsilon),
-                "sf_probabilities": {
-                    int(k): float(v) for k, v in fld.sf_probabilities.items()
-                },
-            },
-            "firmware": {
-                "image_bytes": int(fw.image_bytes),
-                "fragments": int(fw.fragments),
-                "fragment_payload_bytes": int(fw.fragment_payload_bytes),
-                "code": {
-                    "mode": fw.code.mode,
-                    "failure_at_k": float(fw.code.failure_at_k),
-                    "failure_beyond_k": float(fw.code.failure_beyond_k),
-                },
-            },
-            "layout": {
-                "kind": self.layout.kind,
-                "recipients": int(self.layout.recipients),
-                "distance_bins": int(self.layout.distance_bins),
-            },
-            "analysis": {
-                "eta_denominator": self.analysis.eta_denominator,
-                "energy_formula": self.analysis.energy_formula,
-                "count_tail_mass": float(self.analysis.count_tail_mass),
-                "quadrature_rtol": float(self.analysis.quadrature_rtol),
-            },
-            "sim": {
-                "runs": int(self.sim.runs),
-                "transmission_cap_factor": float(self.sim.transmission_cap_factor),
-                "chunk_frames": int(self.sim.chunk_frames),
-            },
-            "sweep": {
-                "frames_per_round": [int(w) for w in self.sweep.frames_per_round],
-                "min_sf": [int(s) for s in self.sweep.min_sf],
-            },
-            "lifetime": {
-                "battery_mah": float(self.lifetime.battery_mah),
-                "updates_per_month": float(self.lifetime.updates_per_month),
-                "uplink_period_hr": float(self.lifetime.uplink_period_hr),
-                "uplink_payload_bytes": int(self.lifetime.uplink_payload_bytes),
-                "tx_current_ma": float(self.lifetime.tx_current_ma),
-                "rx_current_ma": float(self.lifetime.rx_current_ma),
-                "sleep_current_ma": float(self.lifetime.sleep_current_ma),
-                "locations": [
-                    {
-                        "label": loc.label,
-                        "distance_fraction": float(loc.distance_fraction),
-                        "uplink_sf": int(loc.uplink_sf),
-                    }
-                    for loc in self.lifetime.locations
-                ],
-            },
         }
 
     def fingerprint(self) -> str:
@@ -324,31 +258,40 @@ def _scheme_to_dict(scheme: Scheme) -> dict:
     }
 
 
-_LOCATION_FIELDS = frozenset({"label", "distance_fraction", "uplink_sf"})
-
-# mappings whose keys are data (spreading factors), not schema fields
+# mappings keyed by spreading factors, as are their rows, not by schema fields
 _LEAF_MAPS = {
     ("phy", "sensitivity_dbm"),
     ("phy", "capture_threshold_db"),
     ("interferers", "sf_probabilities"),
 }
 
+# the one leaf that may be null: ceil(image_bytes / fragments) stands in
+_PAYLOAD = ("firmware", "fragment_payload_bytes")
+
 
 def _join(path: tuple) -> str:
-    return ".".join(str(p) for p in path) if path else "<root>"
+    return ".".join(str(p) for p in path).replace(".[", "[") if path else "<root>"
 
 
-def _check_keys(user, defaults, path: tuple = ()) -> None:
-    if path in _LEAF_MAPS:
-        if not isinstance(user, Mapping):
+def _cast(kind: type, value, path: tuple):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key '{_join(path)}': {exc}") from exc
+
+
+def _canonical(value, default, path: tuple = ()):
+    """``value`` checked against the shape of ``default`` and cast to its
+    leaf types. Scheme entries pass through; ``_scheme_from_entry`` checks them."""
+    if isinstance(default, Mapping):
+        if not isinstance(value, Mapping):
             raise ConfigError(f"config key '{_join(path)}' must be a mapping")
-        return
-    if isinstance(defaults, Mapping):
-        if not isinstance(user, Mapping):
-            raise ConfigError(f"config key '{_join(path)}' must be a mapping")
-        for key, value in user.items():
-            if key not in defaults:
-                allowed = sorted(str(k) for k in defaults)
+        if path[:2] in _LEAF_MAPS:
+            row = next(iter(default.values()))
+            return {_cast(int, k, path): _canonical(v, row, (*path, k)) for k, v in value.items()}
+        for key in value:
+            if key not in default:
+                allowed = sorted(str(k) for k in default)
                 hint = difflib.get_close_matches(str(key), allowed, n=1)
                 msg = f"unknown config key '{_join((*path, key))}'"
                 if hint:
@@ -356,13 +299,22 @@ def _check_keys(user, defaults, path: tuple = ()) -> None:
                 else:
                     msg += f"; allowed keys here: {', '.join(allowed)}"
                 raise ConfigError(msg)
-            _check_keys(value, defaults[key], (*path, key))
-    elif isinstance(defaults, list):
-        if not isinstance(user, list):
+        # merged sections hold every key; list entries must name them all
+        missing = [str(k) for k in default if k not in value]
+        if missing:
+            raise ConfigError(f"config key '{_join(path)}' is missing: {', '.join(missing)}")
+        return {k: _canonical(v, default[k], (*path, k)) for k, v in value.items()}
+    if isinstance(default, list):
+        if not isinstance(value, list):
             raise ConfigError(f"config key '{_join(path)}' must be a list")
-    else:
-        if isinstance(user, (Mapping, list)):
-            raise ConfigError(f"config key '{_join(path)}' must be a scalar")
+        if path == ("schemes",):
+            return value
+        return [_canonical(v, default[0], (*path, f"[{i}]")) for i, v in enumerate(value)]
+    if isinstance(value, (Mapping, list)):
+        raise ConfigError(f"config key '{_join(path)}' must be a scalar")
+    if value is None and path == _PAYLOAD:
+        return None
+    return _cast(type(default), value, path)
 
 
 def _deep_merge(base: Mapping, override: Mapping) -> dict:
@@ -400,153 +352,50 @@ def _scheme_from_entry(entry, index: int) -> Scheme:
     return cls(**{f.name: casts[f.name](entry[f.name]) for f in fields if f.name in entry})
 
 
-def _location_from_entry(entry, index: int) -> LifetimeLocation:
-    if not isinstance(entry, Mapping):
-        raise ConfigError(f"lifetime.locations[{index}] must be a mapping")
-    for key in entry:
-        if key not in _LOCATION_FIELDS:
-            hint = difflib.get_close_matches(str(key), sorted(_LOCATION_FIELDS), n=1)
-            msg = f"unknown key '{key}' in lifetime.locations[{index}]"
-            if hint:
-                msg += f"; did you mean '{hint[0]}'?"
-            raise ConfigError(msg)
-    missing = sorted(_LOCATION_FIELDS - set(entry))
-    if missing:
-        raise ConfigError(
-            f"lifetime.locations[{index}] is missing: {', '.join(missing)}"
-        )
-    return LifetimeLocation(
-        label=str(entry["label"]),
-        distance_fraction=float(entry["distance_fraction"]),
-        uplink_sf=int(entry["uplink_sf"]),
-    )
-
-
-def _spec_from_dict(data: Mapping) -> ExperimentSpec:
-    phy_d = data["phy"]
-    phy = PhyProfile(
-        sensitivity_dbm={int(k): float(v) for k, v in phy_d["sensitivity_dbm"].items()},
-        capture_threshold_db={
-            int(i): {int(j): float(v) for j, v in row.items()}
-            for i, row in phy_d["capture_threshold_db"].items()
-        },
-        bandwidth_hz=float(phy_d["bandwidth_hz"]),
-        preamble_symbols=int(phy_d["preamble_symbols"]),
-        header_flag=int(phy_d["header_flag"]),
-        coding_rate_index=int(phy_d["coding_rate_index"]),
-        ldro_sfs=tuple(int(s) for s in phy_d["ldro_sfs"]),
-        rx_power_w=float(phy_d["rx_power_w"]),
-        tx_power_w=float(phy_d["tx_power_w"]),
-        tx_rf_power_dbm=float(phy_d["tx_rf_power_dbm"]),
-    )
-
-    net_d = data["network"]
-    link = LinkModel(
-        path_loss_exponent=float(net_d["path_loss_exponent"]),
-        link_gain=float(net_d["link_gain"]),
-        tx_rf_power_w=phy.tx_rf_power_w,
-    )
-    int_d = data["interferers"]
-    field = InterfererField.from_phy(
-        phy,
-        intensity_per_m2=float(int_d["intensity_per_m2"]),
-        frame_rate_hz=float(int_d["frame_rate_hz"]),
-        channel_count=int(int_d["channel_count"]),
-        sf_probabilities={int(k): float(v) for k, v in int_d["sf_probabilities"].items()},
-        payload_bytes=int(int_d["payload_bytes"]),
-        detection_epsilon=float(int_d["detection_epsilon"]),
-    )
-    network = NetworkConfig(
-        cell_radius_m=float(net_d["cell_radius_m"]),
-        link=link,
-        interferers=field,
-        duty_cycle_max_percent=float(net_d["duty_cycle_max_percent"]),
-        control_listen_s=float(net_d["control_listen_s"]),
-        ack_payload_bytes=int(net_d["ack_payload_bytes"]),
-        ack_uplink_sf=int(net_d["ack_uplink_sf"]),
-    )
-
-    fw_d = data["firmware"]
-    image_bytes = int(fw_d["image_bytes"])
-    fragments = int(fw_d["fragments"])
-    payload = fw_d.get("fragment_payload_bytes")
-    if payload is None:
-        payload = -(-image_bytes // fragments)
-    code_d = fw_d["code"]
-    code = RatelessModel(
-        fragments=fragments,
-        mode=str(code_d["mode"]),
-        failure_at_k=float(code_d["failure_at_k"]),
-        failure_beyond_k=float(code_d["failure_beyond_k"]),
-    )
-    firmware = FirmwareConfig(
-        image_bytes=image_bytes,
-        fragments=fragments,
-        fragment_payload_bytes=int(payload),
-        code=code,
-    )
-
-    lay_d = data["layout"]
-    layout = LayoutConfig(
-        kind=str(lay_d["kind"]),
-        recipients=int(lay_d["recipients"]),
-        distance_bins=int(lay_d["distance_bins"]),
-    )
-    ana_d = data["analysis"]
-    analysis = AnalysisOptions(
-        eta_denominator=str(ana_d["eta_denominator"]),
-        energy_formula=str(ana_d["energy_formula"]),
-        count_tail_mass=float(ana_d["count_tail_mass"]),
-        quadrature_rtol=float(ana_d["quadrature_rtol"]),
-    )
-    sim_d = data["sim"]
-    sim = SimOptions(
-        runs=int(sim_d["runs"]),
-        transmission_cap_factor=float(sim_d["transmission_cap_factor"]),
-        chunk_frames=int(sim_d["chunk_frames"]),
-    )
-    sweep_d = data["sweep"]
-    sweep = SweepOptions(
-        frames_per_round=tuple(int(w) for w in sweep_d["frames_per_round"]),
-        min_sf=tuple(int(s) for s in sweep_d["min_sf"]),
-    )
-    life_d = data["lifetime"]
-    locations_d = life_d["locations"]
-    if not isinstance(locations_d, list):
-        raise ConfigError("lifetime.locations must be a list")
-    lifetime = LifetimeConfig(
-        battery_mah=float(life_d["battery_mah"]),
-        updates_per_month=float(life_d["updates_per_month"]),
-        uplink_period_hr=float(life_d["uplink_period_hr"]),
-        uplink_payload_bytes=int(life_d["uplink_payload_bytes"]),
-        tx_current_ma=float(life_d["tx_current_ma"]),
-        rx_current_ma=float(life_d["rx_current_ma"]),
-        sleep_current_ma=float(life_d["sleep_current_ma"]),
-        locations=tuple(
-            _location_from_entry(loc, i) for i, loc in enumerate(locations_d)
-        ),
-    )
-
-    schemes_d = data["schemes"]
-    if not isinstance(schemes_d, list) or len(schemes_d) == 0:
+def _build_spec(user: Mapping, defaults: dict) -> ExperimentSpec:
+    """Merge ``user`` over ``defaults``, cast the result to its canonical
+    form and build the typed sections from it by keyword."""
+    canon = _canonical(_deep_merge(defaults, user), defaults)
+    fw = canon["firmware"]
+    if fw["fragment_payload_bytes"] is None and fw["fragments"] > 0:
+        fw["fragment_payload_bytes"] = -(-fw["image_bytes"] // fw["fragments"])
+    canon["phy"]["ldro_sfs"].sort()  # a set of SFs, which PhyProfile sorts too
+    entries = canon.pop("schemes")
+    if len(entries) == 0:
         raise ConfigError("schemes must be a nonempty list")
-    schemes = tuple(_scheme_from_entry(s, i) for i, s in enumerate(schemes_d))
-
-    return ExperimentSpec(
-        name=str(data["name"]),
-        mode=str(data["mode"]),
-        seed=int(data["seed"]),
-        output_dir=str(data["output_dir"]),
-        schemes=schemes,
-        phy=phy,
-        network=network,
-        firmware=firmware,
-        layout=layout,
-        analysis=analysis,
-        sim=sim,
-        sweep=sweep,
-        lifetime=lifetime,
-    )
+    try:
+        phy = PhyProfile(**canon["phy"])
+        network = dict(canon["network"])
+        link = LinkModel(
+            path_loss_exponent=network.pop("path_loss_exponent"),
+            link_gain=network.pop("link_gain"),
+            tx_rf_power_w=phy.tx_rf_power_w,
+        )
+        field = InterfererField.from_phy(phy, **canon["interferers"])
+        firmware = dict(fw)
+        code = RatelessModel(fragments=fw["fragments"], **firmware.pop("code"))
+        lifetime = dict(canon["lifetime"])
+        locations = tuple(LifetimeLocation(**loc) for loc in lifetime.pop("locations"))
+        return ExperimentSpec(
+            name=canon.pop("name"),
+            mode=canon.pop("mode"),
+            seed=canon.pop("seed"),
+            output_dir=canon.pop("output_dir"),
+            phy=phy,
+            network=NetworkConfig(link=link, interferers=field, **network),
+            firmware=FirmwareConfig(code=code, **firmware),
+            layout=LayoutConfig(**canon["layout"]),
+            analysis=AnalysisOptions(**canon["analysis"]),
+            sim=SimOptions(**canon["sim"]),
+            sweep=SweepOptions(**canon["sweep"]),
+            lifetime=LifetimeConfig(locations=locations, **lifetime),
+            schemes=tuple(_scheme_from_entry(s, i) for i, s in enumerate(entries)),
+            sections=canon,
+        )
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid experiment configuration: {exc}") from exc
 
 
 # libyaml's loader parses the packaged defaults about 7x faster; user configs
@@ -558,15 +407,6 @@ def default_config_dict() -> dict:
     """The packaged defaults, as a plain dict."""
     text = resources.files("fuotacast").joinpath("data/defaults.yaml").read_text("utf-8")
     return yaml.load(text, Loader=_DEFAULTS_LOADER)
-
-
-def _materialize(merged: Mapping) -> ExperimentSpec:
-    try:
-        return _spec_from_dict(merged)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid experiment configuration: {exc}") from exc
 
 
 def spec_from_mapping(data: Mapping) -> ExperimentSpec:
@@ -582,9 +422,7 @@ def spec_from_mapping(data: Mapping) -> ExperimentSpec:
             + ", ".join(f"'{k}'" for k in missing)
             + " (every experiment must state its own name and scheme list)"
         )
-    defaults = default_config_dict()
-    _check_keys(data, defaults)
-    return _materialize(_deep_merge(defaults, data))
+    return _build_spec(data, default_config_dict())
 
 
 def load_config(path) -> ExperimentSpec:
@@ -609,8 +447,4 @@ def load_config(path) -> ExperimentSpec:
 
 def load_default_spec(overrides: Optional[Mapping] = None) -> ExperimentSpec:
     """The packaged default experiment, optionally with overrides merged in."""
-    defaults = default_config_dict()
-    if overrides:
-        _check_keys(overrides, defaults)
-        return _materialize(_deep_merge(defaults, overrides))
-    return _materialize(defaults)
+    return _build_spec(overrides or {}, default_config_dict())

@@ -10,7 +10,6 @@ which roughly doubles airtime and buys 2.5 to 3 dB of sensitivity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,12 +29,6 @@ def check_sf(sf: int) -> int:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError(f"power must be positive to convert to dBm, got {watts}")
-    return 10.0 * math.log10(watts / 1e-3)
 
 
 @dataclass(frozen=True)

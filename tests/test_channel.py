@@ -10,12 +10,9 @@ from test_sim import _interferer_state
 from fuotacast import sim
 from fuotacast.channel import (
     InterfererField,
-    LinkModel,
     interference_radius,
     interferer_count_weights,
-    link_gain_from_antennas,
     mean_interferer_count,
-    poisson_interferer_pmf,
 )
 
 # radius inside which an SF12 interferer is still detectable at the stock
@@ -24,11 +21,6 @@ FROZEN_INTERFERENCE_RADIUS = 1773.2775406687774
 
 
 class TestLinkModel:
-    def test_received_power_formula(self, link):
-        d, a = 432.0, 1.7
-        want = link.link_gain * link.tx_rf_power_w * a * d ** -link.path_loss_exponent
-        assert link.received_power(d, a) == pytest.approx(want, rel=1e-15)
-
     def test_outage_threshold_and_detection(self, link, phy):
         d = 650.0
         z = phy.sensitivity_w(10)
@@ -40,11 +32,6 @@ class TestLinkModel:
     def test_detection_decreases_with_distance(self, link, phy, d):
         z = phy.sensitivity_w(9)
         assert link.detection_probability(z, d + 1.0) <= link.detection_probability(z, d)
-
-    def test_link_gain_from_antennas(self):
-        lam = 0.3469  # 868 MHz, metres
-        want = 1.0 * 1.0 * (lam / (4.0 * math.pi)) ** 2
-        assert link_gain_from_antennas(1.0, 1.0, lam) == pytest.approx(want, rel=1e-12)
 
 
 class TestInterferenceRadius:
@@ -75,13 +62,6 @@ class TestInterfererCounts:
         r = 1000.0
         want = field.intensity_per_m2 * math.pi * r ** 2
         assert mean_interferer_count(field, r) == pytest.approx(want, rel=1e-12)
-
-    def test_poisson_pmf_hand_value(self, field):
-        # radius chosen so the mean count is exactly 4
-        r = math.sqrt(4.0 / (field.intensity_per_m2 * math.pi))
-        want = 4.0 ** 4 * math.exp(-4.0) / math.factorial(4)
-        assert poisson_interferer_pmf(4, r, field) == pytest.approx(want, rel=1e-12)
-        assert want == pytest.approx(0.19536681481316454, rel=1e-12)
 
     def test_count_weights_normalized_and_centered(self):
         counts, weights = interferer_count_weights(100.0, tail_mass=1e-6)

@@ -6,6 +6,7 @@ written, and the stable CSV schemas. Reproducibility is checked at the
 byte level: the same config and seed must reproduce identical outputs.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fuotacast import cli
+from fuotacast import benchmarks, cli
 from fuotacast.config import (
     ConfigError,
     default_config_dict,
@@ -25,7 +26,52 @@ from fuotacast.schemes import ProposedScheme
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE = REPO_ROOT / "configs" / "baseline.yaml"
+EXAMPLE_FULL = REPO_ROOT / "configs" / "example_full.yaml"
 BASELINE_FINGERPRINT = "4e8a38f2c4cfd1662009486904da01add6ad5e3c70fd0f1a7ff4f1b9086a09e2"
+
+PIN_SCHEMES = [
+    {"type": "proposed", "min_sf": 7, "max_sf": 12, "frames_per_round": 300},
+    {"type": "fixed_sf", "sf": 12},
+]
+# override merged into {name: pin, schemes: PIN_SCHEMES} (None: the packaged
+# defaults as they are) -> its fingerprint; one case per cast of the loader
+FINGERPRINT_PINS = {
+    "defaults": (None, "30643e6322016df930869f74a45f15091ec9766285d389481f5a47080f71b3d3"),
+    "int-for-float": (
+        {"network": {"cell_radius_m": 900}, "phy": {"bandwidth_hz": 125000}},
+        "050aa8811a52b0dff0f508e92d2ea1b8800ab5377d50dba2731a697ffb89e0a0",
+    ),
+    "float-and-string-for-int": (
+        {"layout": {"recipients": 40.0}, "firmware": {"fragments": "200"}},
+        "e86148271fe8007f7bd22f23274e9266dfb13c46a5557567338452b7fb8df05d",
+    ),
+    "null-payload": (
+        {"firmware": {"image_bytes": 10050, "fragment_payload_bytes": None}},
+        "2c78869a3e783ac49684048509b7897a12e3a98161142c4a730e93a015c42b81",
+    ),
+    "partial-leaf-map": (
+        {"phy": {"sensitivity_dbm": {7: -124.0}}},
+        "b545d007e7629a9e58e5fafffc80a1689c8ddd11594f558b1954a40a2818e913",
+    ),
+    "quoted-sf-key": (
+        {"phy": {"sensitivity_dbm": {"7": -124.0}}},
+        "b545d007e7629a9e58e5fafffc80a1689c8ddd11594f558b1954a40a2818e913",
+    ),
+    "unsorted-ldro-sfs": (
+        {"phy": {"ldro_sfs": [12, 11]}},
+        "67e8d8aafdec4366fb569ea98673b03e7e62e29d67a223a045a737bff3f313da",
+    ),
+    "scheme-defaults-omitted": (
+        {"schemes": [{"type": "proposed"}]},
+        "73241d0f1f9ff43d0b1e0fef1e4e4f9f1d7059b7c7e21f4af95be8a68c65174a",
+    ),
+    "locations-replaced": (
+        {"lifetime": {"locations": [{"label": "mid", "distance_fraction": 0.5, "uplink_sf": 9}]}},
+        "59fd1d28b2dc9bf34b95396701554042e17cff90ccd4c2bc61af3b8d6dc1545d",
+    ),
+}
+# baseline.yaml with --seed 7, and baseline.yaml with a `seed: 7` line
+SEED7_FINGERPRINT = "ed8c2356b7edc3e6cb1ab4e8955c80907e476f91945769da02b4d2bd45ea7c31"
 
 DISTANCE_HEADER = (
     "distance,scheme,reachable,EE_norm_analysis,EE_norm_sim,"
@@ -71,8 +117,6 @@ class TestConfigRoundTrip:
         assert len(fp) == 64
         assert all(c in "0123456789abcdef" for c in fp)
         assert fp == spec.fingerprint()
-        import dataclasses
-
         assert dataclasses.replace(spec, seed=spec.seed + 1).fingerprint() != fp
 
     def test_payload_bytes_derived_when_null(self):
@@ -84,6 +128,56 @@ class TestConfigRoundTrip:
         assert spec.firmware.fragment_payload_bytes == 51
 
 
+class TestFingerprintPins:
+    """Fingerprints pinned from the loader as it stood before the canonical
+    walk replaced the per-field parser and serializer."""
+
+    @pytest.mark.parametrize("case", sorted(FINGERPRINT_PINS))
+    def test_pinned(self, case):
+        override, want = FINGERPRINT_PINS[case]
+        if override is None:
+            spec = load_default_spec()
+        else:
+            spec = spec_from_mapping({"name": "pin", "schemes": PIN_SCHEMES, **override})
+        assert spec.fingerprint() == want
+        assert spec_from_mapping(spec.to_dict()) == spec
+
+    def test_seed_flag_matches_seed_key(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["analyze", "--config", str(BASELINE), "--seed", "7"]
+        )
+        assert cli._load_spec(args).fingerprint() == SEED7_FINGERPRINT
+        seeded = _write(tmp_path, "seed7.yaml", BASELINE.read_text() + "seed: 7\n")
+        assert load_config(seeded).fingerprint() == SEED7_FINGERPRINT
+
+    def test_density_sweep_specs_are_canonical(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            benchmarks, "run_suite", lambda spec, mode: (seen.append(spec), ([], []))[1]
+        )
+        base = load_default_spec({"schemes": [{"type": "fixed_sf", "sf": 12}]})
+        intensities = (1.0e-5, 5.0e-5, 2.0e-4)
+        benchmarks.density_sweep(base, intensities)
+        assert [s.network.interferers.intensity_per_m2 for s in seen] == list(intensities)
+        for spec, lam in zip(seen, intensities):
+            assert spec_from_mapping(spec.to_dict()) == spec
+            assert spec.to_dict()["interferers"]["intensity_per_m2"] == lam
+            direct = load_default_spec({
+                "schemes": [{"type": "fixed_sf", "sf": 12}],
+                "interferers": {"intensity_per_m2": lam},
+            })
+            assert spec.fingerprint() == direct.fingerprint()
+        assert seen[1].fingerprint() == base.fingerprint()
+        assert len({s.fingerprint() for s in seen}) == len(intensities)
+
+    def test_example_full_states_every_default(self):
+        full = load_config(EXAMPLE_FULL).to_dict()
+        defaults = load_default_spec().to_dict()
+        assert full.pop("name") == "example-full"
+        assert defaults.pop("name") == "defaults"
+        assert full == defaults
+
+
 class TestYamlLoaders:
     """The packaged defaults go through libyaml, user configs through the
     pure-Python loader; both must read the same documents the same way."""
@@ -93,7 +187,7 @@ class TestYamlLoaders:
         [
             REPO_ROOT / "src" / "fuotacast" / "data" / "defaults.yaml",
             BASELINE,
-            REPO_ROOT / "configs" / "example_full.yaml",
+            EXAMPLE_FULL,
         ],
         ids=lambda p: p.name,
     )
@@ -169,6 +263,53 @@ class TestConfigValidation:
                 {"lifetime": {"locations": [{"label": "edge"}]}}
             )
         assert "missing" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "override, fragments",
+        [
+            (
+                {"lifetime": {"locations": [
+                    {"label": "a", "distance_fraction": 0.5, "uplink_sf": 9, "uplnk_sf": 9}
+                ]}},
+                ("lifetime.locations[0]", "uplnk_sf", "did you mean", "uplink_sf'?"),
+            ),
+            ({"lifetime": {"locations": ["edge"]}}, ("lifetime.locations[0]", "must be a mapping")),
+            ({"lifetime": {"locations": "edge"}}, ("'lifetime.locations'", "must be a list")),
+            ({"phy": {"sensitivity_dbm": 5}}, ("'phy.sensitivity_dbm'", "must be a mapping")),
+            ({"network": 3}, ("'network'", "must be a mapping")),
+            ({"sweep": {"min_sf": 7}}, ("'sweep.min_sf'", "must be a list")),
+        ],
+        ids=["location-key", "location-entry", "locations", "leaf-map", "section", "list"],
+    )
+    def test_shape_errors_name_the_key(self, tmp_path, capsys, override, fragments):
+        data = {"name": "x", "schemes": [{"type": "proposed"}], **override}
+        with pytest.raises(ConfigError) as exc:
+            spec_from_mapping(data)
+        for fragment in fragments:
+            assert fragment in str(exc.value)
+        cfg = _write(tmp_path, "bad.yaml", yaml.safe_dump(data))
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert all(fragment in err for fragment in fragments)
+
+    @pytest.mark.parametrize(
+        "override, fragment",
+        [
+            ({"phy": {"capture_threshold_db": {7: 5}}}, "'phy.capture_threshold_db.7' must be"),
+            (
+                {"firmware": {"fragments": 0, "fragment_payload_bytes": None}},
+                "fragments must be at least 1",
+            ),
+        ],
+        ids=["capture-row", "zero-fragments-null-payload"],
+    )
+    def test_former_tracebacks_exit_2(self, tmp_path, capsys, override, fragment):
+        data = {"name": "x", "schemes": [{"type": "proposed"}], **override}
+        with pytest.raises(ConfigError, match=fragment):
+            spec_from_mapping(data)
+        cfg = _write(tmp_path, "bad.yaml", yaml.safe_dump(data))
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert fragment in capsys.readouterr().err
 
     def test_file_loading_failures(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
