@@ -13,11 +13,11 @@ its incomplete-gamma closed form,
     Q(a) = 2 / (alpha R**2) * sum_j p_j c_ij gamma(s, beta_j R**alpha) beta_j**-s,
     s = 2 / alpha, beta_j = a / (xi_ij d**alpha),
 
-with gamma the lower incomplete gamma function. The model inputs (outage
-threshold, capture ratios, collision probabilities, SF mix, disc radius) come
-from the packaged default config as doubles; the integral itself is mpmath's
-adaptive tanh-sinh quadrature over the whole half line, independent of the
-package's Gauss-Legendre panels.
+with gamma the lower incomplete gamma function. The model inputs (detection
+threshold, capture ratios, overlap windows, SF mix, disc radius) are the
+doubles of the packaged default config's channel law, the one both engines
+read; the integral itself is mpmath's adaptive tanh-sinh quadrature over the
+whole half line, independent of the package's Gauss-Legendre panels.
 
 The first four cases are the stock-field values. The last three sit at the
 low end, the mode and the high end of the interferer-count window at
@@ -37,10 +37,8 @@ import mpmath as mp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fuotacast import analysis  # noqa: E402
-from fuotacast.channel import interference_radius  # noqa: E402
 from fuotacast.config import load_default_spec  # noqa: E402
-from fuotacast.phy import ALL_SFS, SF_MAX  # noqa: E402
+from fuotacast.phy import ALL_SFS, SF_MIN  # noqa: E402
 
 PAYLOAD = 50
 # (distance_m, interferer_count, sf, segment)
@@ -59,20 +57,21 @@ BREAKS = (0, 0.05, 0.1, 0.25, 0.5, 1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 40, mp.inf
 
 
 def survival(distance_m: float, n: int, sf: int, segment: str, spec) -> mp.mpf:
-    phy, link, field = spec.phy, spec.network.link, spec.network.interferers
-    alpha = mp.mpf(link.path_loss_exponent)
+    law, row = spec.law, sf - SF_MIN
+    assert spec.firmware.fragment_payload_bytes == PAYLOAD
+    alpha = mp.mpf(law.path_loss_exponent)
     s = 2 / alpha
-    radius = mp.mpf(interference_radius(link, field, phy.sensitivity_w(SF_MAX)))
+    radius = mp.mpf(law.radius_m)
     r_alpha = radius**alpha
     d_alpha = mp.mpf(distance_m) ** alpha
-    c = mp.mpf(link.outage_threshold(phy.sensitivity_w(sf), distance_m))
+    c = mp.mpf(float(distance_m**law.path_loss_exponent * law.detect_scale[row]))
+    window = law.preamble_window if segment == "preamble" else law.frame_window
     mix = [
         (
-            mp.mpf(field.sf_probabilities[j])
-            * mp.mpf(analysis.collision_probability(sf, j, segment, PAYLOAD, phy, field)),
-            mp.mpf(phy.capture_ratio(sf, j)) * d_alpha,
+            mp.mpf(float(law.sf_mix[col])) * mp.mpf(float(window[row, col])),
+            mp.mpf(float(law.capture[row, col])) * d_alpha,
         )
-        for j in ALL_SFS
+        for col in range(len(ALL_SFS))
     ]
     prefactor = 2 / (alpha * radius**2)
 

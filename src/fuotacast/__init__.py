@@ -14,7 +14,7 @@ from .analysis import (
     success_tables,
 )
 from .benchmarks import DistanceRow, SchemeSummary, run_suite
-from .channel import InterfererField, LinkModel, interference_radius
+from .channel import ChannelLaw, InterfererField, LinkModel
 from .config import ConfigError, ExperimentSpec, load_config, load_default_spec
 from .fec import RatelessModel
 from .lifetime import DutyProfile, battery_lifetime_years
@@ -27,6 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_SFS",
     "AnalysisOptions",
+    "ChannelLaw",
     "ConfigError",
     "DistanceRow",
     "DutyProfile",
@@ -46,7 +47,6 @@ __all__ = [
     "SuccessTables",
     "UnreachableRecipientError",
     "battery_lifetime_years",
-    "interference_radius",
     "load_config",
     "load_default_spec",
     "run_experiment",

@@ -8,26 +8,22 @@ The central object is :class:`SuccessTables`: preamble and whole-frame
 success probabilities for every spreading factor, conditioned on each
 plausible interferer count, together with the Poisson weights needed to
 decondition. Every scheme evaluation is cheap arithmetic on those tables.
+Every per-SF constant (overlap windows, capture ratios, detection scale,
+listen energies and duty slots) comes from the experiment's
+:class:`~fuotacast.channel.ChannelLaw`, which the simulator reads too.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import specfun
-from .channel import (
-    InterfererField,
-    LinkModel,
-    interference_radius,
-    interferer_count_weights,
-    mean_interferer_count,
-)
-from .phy import ALL_SFS, SF_MAX, SF_MIN, PhyProfile, check_sf
+from .channel import ChannelLaw, interferer_count_weights
+from .phy import ALL_SFS, SF_MIN, PhyProfile, check_sf
 
 
 class NumericalIntegrationError(RuntimeError):
@@ -46,85 +42,20 @@ class UnreachableRecipientError(RuntimeError):
         self.deficit = deficit
 
 
-class LossFreeRoundError(ValueError):
-    """``eta_denominator="failure_literal"`` met a finishing segment that
-    never loses a frame, so its failure probability cannot divide."""
-
-    def __init__(self, distance_m: float, sf: int):
-        super().__init__(
-            f"eta_denominator 'failure_literal' divides by the failure probability"
-            f" of the final segment, which is 0 at SF{sf} for the recipient at"
-            f" {distance_m:.1f} m; use 'success' for a loss-free link"
-        )
-        self.distance_m = distance_m
-        self.sf = sf
-
-
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Switches for the two places where the printed closed forms disagree
-    with the reception behavior they describe, plus numerical knobs.
+    """Numerical knobs of the closed forms: the Poisson tail mass that the
+    interferer-count window leaves out, and the relative tolerance of the
+    quadrature refinement check."""
 
-    ``eta_denominator``: the final sliver of attempts is remaining
-    fragments divided by the per-frame success probability ("success");
-    "failure_literal" divides by the failure probability instead, which is
-    what a strictly literal reading of the final-round formula says. It
-    applies to the segment in which a recipient finishes, in every
-    scheme's streams: the ramp's, a fixed SF's and each group's, so a
-    fixed SF and a one-SF ramp agree under either reading.
-
-    ``energy_formula``: "partitioned" charges a full-frame listen whenever
-    the preamble is acquired and a preamble-only listen otherwise, so the
-    three reception outcomes partition each attempt. "as_printed" charges
-    ``(S_fr + F_pl) * e_frame + F_pr * e_preamble``, the literal printed
-    weighting, which double-counts nothing only when F_pl is conditional.
-    """
-
-    eta_denominator: str = "success"
-    energy_formula: str = "partitioned"
     count_tail_mass: float = 1e-6
     quadrature_rtol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.eta_denominator not in ("success", "failure_literal"):
-            raise ValueError("eta_denominator must be 'success' or 'failure_literal'")
-        if self.energy_formula not in ("partitioned", "as_printed"):
-            raise ValueError("energy_formula must be 'partitioned' or 'as_printed'")
         if not 0.0 < self.count_tail_mass < 0.1:
             raise ValueError("count_tail_mass must be in (0, 0.1)")
         if not 0.0 < self.quadrature_rtol < 1e-2:
             raise ValueError("quadrature_rtol must be in (0, 1e-2)")
-
-
-def collision_probability(
-    desired_sf: int,
-    interferer_sf: int,
-    segment: str,
-    payload_bytes: int,
-    phy: PhyProfile,
-    field: InterfererField,
-) -> float:
-    """Per-interferer probability that one of its frames overlaps the
-    desired segment on the same channel."""
-    i = check_sf(desired_sf)
-    j = check_sf(interferer_sf)
-    if segment == "preamble":
-        l_seg = phy.preamble_duration(i)
-    elif segment == "frame":
-        l_seg = phy.frame_airtime(i, payload_bytes)
-    else:
-        raise ValueError("segment must be 'preamble' or 'frame'")
-    window = l_seg + field.mean_frame_duration_s[j]
-    p = field.frame_rate_hz * window / field.channel_count
-    if p > 1.0:
-        warnings.warn(
-            "vulnerable window exceeds the mean inter-frame gap;"
-            " clamping collision probability to 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1.0
-    return p
 
 
 # Fixed panel edges for the semi-infinite fading integral, in units of the
@@ -158,39 +89,29 @@ _RULES = (slice(0, _NODES_COARSE.size), slice(_NODES_COARSE.size, _NODES.size))
 
 def _loss_terms(
     a: np.ndarray,
-    sf,
-    phy: PhyProfile,
-    link: LinkModel,
-    radius_m: float,
+    caps: np.ndarray,
+    law: ChannelLaw,
     d_alpha: float,
 ) -> np.ndarray:
     """Disc-averaged capture-kill term of each interferer SF (rows, SF 7..12)
     at desired fading levels ``a``: gamma(s, beta r**alpha) * beta**-s with
-    s = 2 / alpha. For a sequence of desired SFs, ``a`` has one row of
-    levels per SF and the result one block of rows per SF, so one
-    incomplete-gamma call covers a whole table. Shared by both segments,
-    which weight the rows by their own collision probabilities."""
-    s = 2.0 / link.path_loss_exponent
-    r_alpha = radius_m**link.path_loss_exponent
-    caps = np.array(
-        [[phy.capture_ratio(i, j) for j in ALL_SFS] for i in np.atleast_1d(sf).tolist()]
-    ).reshape(np.shape(sf) + (len(ALL_SFS),))
+    s = 2 / alpha, for a desired SF whose capture ratios are ``caps``. For
+    several desired SFs, ``a`` and ``caps`` have one row per SF and the
+    result one block of rows per SF, so one incomplete-gamma call covers a
+    whole table. Shared by both segments, which weight the rows by their
+    own overlap windows."""
+    s = 2.0 / law.path_loss_exponent
+    r_alpha = law.radius_m**law.path_loss_exponent
     beta = np.maximum(np.asarray(a)[..., None, :] / (caps[..., None] * d_alpha), 1e-300)
     return specfun.gammainc_lower(s, beta * r_alpha) * math.gamma(s) * beta ** (-s)
 
 
-def _per_interferer_loss(
-    terms: np.ndarray,
-    seg_collision: dict[int, float],
-    link: LinkModel,
-    field: InterfererField,
-    radius_m: float,
-) -> np.ndarray:
+def _per_interferer_loss(terms: np.ndarray, window: np.ndarray, law: ChannelLaw) -> np.ndarray:
     """Q(a): probability that one uniformly placed interferer wipes the
-    desired segment, from the :func:`_loss_terms` at the same fading levels."""
-    mix = np.array([field.sf_probabilities[j] * seg_collision[j] for j in ALL_SFS])
-    prefactor = 2.0 / (link.path_loss_exponent * radius_m**2)
-    return np.clip(prefactor * (mix @ terms), 0.0, 1.0)
+    desired segment whose overlap windows are ``window``, from the
+    :func:`_loss_terms` at the same fading levels."""
+    prefactor = 2.0 / (law.path_loss_exponent * law.radius_m**2)
+    return np.clip(prefactor * ((law.sf_mix * window) @ terms), 0.0, 1.0)
 
 
 def _power_sums(survive: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -245,48 +166,18 @@ def _conditioned_integral(
 @dataclass(frozen=True, eq=False)
 class SuccessTables:
     """Reception probabilities at one distance, conditioned on interferer
-    count, for every spreading factor. Rows are SF 7..12 in order."""
+    count: rows are SF 7..12 in order, one column per count."""
 
     distance_m: float
-    payload_bytes: int
-    interference_radius_m: float
     count_values: np.ndarray
     count_weights: np.ndarray
     preamble_success: np.ndarray
     frame_success: np.ndarray
 
-    def row(self, sf: int) -> int:
-        return check_sf(sf) - SF_MIN
-
-    def preamble_success_for(self, sf: int) -> np.ndarray:
-        return self.preamble_success[self.row(sf)]
-
-    def frame_success_for(self, sf: int) -> np.ndarray:
-        return self.frame_success[self.row(sf)]
-
-    def attempt_energy_by_count(
-        self, sf: int, phy: PhyProfile, energy_formula: str = "partitioned"
-    ) -> np.ndarray:
-        """Expected listening energy of one reception attempt, per count."""
-        e_fr = phy.rx_energy_frame(sf, self.payload_bytes)
-        e_pr = phy.rx_energy_preamble(sf)
-        s_pr = self.preamble_success_for(sf)
-        s_fr = self.frame_success_for(sf)
-        if energy_formula == "partitioned":
-            return s_pr * e_fr + (1.0 - s_pr) * e_pr
-        if energy_formula != "as_printed":
-            raise ValueError("energy_formula must be 'partitioned' or 'as_printed'")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f_pl = np.where(s_pr > 0.0, 1.0 - s_fr / np.where(s_pr > 0.0, s_pr, 1.0), 0.0)
-        return (s_fr + f_pl) * e_fr + (1.0 - s_pr) * e_pr
-
 
 def success_tables(
     distance_m: float,
-    payload_bytes: int,
-    phy: PhyProfile,
-    link: LinkModel,
-    field: InterfererField,
+    law: ChannelLaw,
     *,
     options: Optional[AnalysisOptions] = None,
     counts: Optional[Sequence[int]] = None,
@@ -300,10 +191,9 @@ def success_tables(
     if distance_m <= 0.0:
         raise ValueError("distance must be positive")
     options = options or AnalysisOptions()
-    radius = interference_radius(link, field, phy.sensitivity_w(SF_MAX))
     if counts is None:
         count_values, count_weights = interferer_count_weights(
-            mean_interferer_count(field, radius), options.count_tail_mass
+            law.mean_count, options.count_tail_mass
         )
     else:
         count_values = np.asarray(counts, dtype=np.int64)
@@ -312,62 +202,42 @@ def success_tables(
         count_weights = np.full(count_values.size, 1.0 / count_values.size)
 
     n_counts = count_values.size
-    d_alpha = distance_m**link.path_loss_exponent
+    d_alpha = distance_m**law.path_loss_exponent
     pre = np.zeros((len(ALL_SFS), n_counts))
     fr = np.zeros((len(ALL_SFS), n_counts))
-    # (row, SF, threshold, detection probability, preamble and frame
-    # collisions) of every SF whose integrals need the quadrature
+    # (row, detection threshold, detection probability) of every SF whose
+    # integrals need the quadrature
     pending = []
-    for idx, sf in enumerate(ALL_SFS):
-        c = link.outage_threshold(phy.sensitivity_w(sf), distance_m)
+    for row, c in enumerate((d_alpha * law.detect_scale).tolist()):
         base = math.exp(-c) if c < 745.0 else 0.0
         if base == 0.0:
             continue
-        c_pre = {
-            j: collision_probability(sf, j, "preamble", payload_bytes, phy, field)
-            for j in ALL_SFS
-        }
-        c_fr = {
-            j: collision_probability(sf, j, "frame", payload_bytes, phy, field)
-            for j in ALL_SFS
-        }
-        if all(v == 0.0 for v in c_fr.values()):
+        if not law.frame_window[row].any():
             # no interferer traffic: the integral is exactly 1 for every n
-            pre[idx] = base
-            fr[idx] = base
+            pre[row] = base
+            fr[row] = base
             continue
-        pending.append((idx, sf, c, base, c_pre, c_fr))
+        pending.append((row, c, base))
     if pending:
-        _, sfs, thresholds, _, _, _ = zip(*pending)
+        rows, thresholds, _ = zip(*pending)
         levels = np.array(thresholds)[:, None] + _NODES
-        all_terms = _loss_terms(levels, sfs, phy, link, radius, d_alpha)
-        for (idx, sf, _, base, c_pre, c_fr), terms in zip(pending, all_terms):
-            for seg_collision, out in ((c_pre, pre), (c_fr, fr)):
-                survive = 1.0 - _per_interferer_loss(terms, seg_collision, link, field, radius)
-                out[idx] = base * _conditioned_integral(
+        all_terms = _loss_terms(levels, law.capture[list(rows)], law, d_alpha)
+        for (row, _, base), terms in zip(pending, all_terms):
+            for window, out in ((law.preamble_window[row], pre), (law.frame_window[row], fr)):
+                survive = 1.0 - _per_interferer_loss(terms, window, law)
+                out[row] = base * _conditioned_integral(
                     survive,
                     count_values,
                     options.quadrature_rtol,
-                    f"SF{sf} at {distance_m:.1f} m",
+                    f"SF{ALL_SFS[row]} at {distance_m:.1f} m",
                 )
     return SuccessTables(
         distance_m=float(distance_m),
-        payload_bytes=int(payload_bytes),
-        interference_radius_m=radius,
         count_values=count_values,
         count_weights=count_weights,
         preamble_success=pre,
         frame_success=fr,
     )
-
-
-def duty_slot_s(
-    phy: PhyProfile, sf: int, payload_bytes: int, duty_cycle_max_percent: float
-) -> float:
-    """Wall-clock spacing of consecutive frames at one SF under the duty cycle."""
-    if not 0.0 < duty_cycle_max_percent <= 100.0:
-        raise ValueError("duty_cycle_max_percent must be in (0, 100]")
-    return (100.0 / duty_cycle_max_percent) * phy.frame_airtime(sf, payload_bytes)
 
 
 def control_energy_j(
@@ -383,10 +253,10 @@ def control_energy_j(
     return phy.rx_power_w * control_listen_s + phy.tx_power_w * ack_airtime
 
 
-def normalization_energy_j(phy: PhyProfile, fragments: int, payload_bytes: int) -> float:
+def normalization_energy_j(law: ChannelLaw, fragments: int) -> float:
     """Energy of receiving the whole image once at the fastest SF; the
     reference against which scheme energies are normalized."""
-    return fragments * phy.rx_energy_frame(SF_MIN, payload_bytes)
+    return fragments * float(law.e_frame[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,21 +287,17 @@ class StreamCosts:
         )
 
 
-def stream_costs(
-    tables: SuccessTables,
-    phy: PhyProfile,
-    duty_cycle_max_percent: float,
-    energy_formula: str,
-) -> StreamCosts:
+def stream_costs(tables: SuccessTables, law: ChannelLaw) -> StreamCosts:
     """The :class:`StreamCosts` of one table; every stream evaluated at the
-    table's distance shares them."""
+    table's distance shares them. An attempt costs a full-frame listen when
+    the preamble is acquired and a preamble-only listen otherwise, as the
+    simulator charges it."""
+    s_pr = tables.preamble_success
     return StreamCosts(
         tables.distance_m,
         tables.frame_success,
-        np.stack([tables.attempt_energy_by_count(sf, phy, energy_formula) for sf in ALL_SFS]),
-        np.array(
-            [duty_slot_s(phy, sf, tables.payload_bytes, duty_cycle_max_percent) for sf in ALL_SFS]
-        ),
+        s_pr * law.e_frame[:, None] + (1.0 - s_pr) * law.e_preamble[:, None],
+        law.slot_s,
         tables.count_weights,
     )
 
@@ -440,7 +306,6 @@ def evaluate_stream(
     segments: Sequence[tuple[int, int]],
     costs: StreamCosts,
     needed: float,
-    eta_denominator: str = "success",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-count (energy, time, frames) until a recipient holds ``needed``
     fragments, served one stream of a
@@ -449,9 +314,7 @@ def evaluate_stream(
 
     A count finishes in the first segment whose cumulative expected
     receptions cover ``needed``; there it pays the remaining fragments
-    divided by that segment's success probability, or by its failure
-    probability under ``eta_denominator="failure_literal"``, which raises
-    :class:`LossFreeRoundError` where that probability is 0. Raises
+    divided by that segment's success probability. Raises
     :class:`UnreachableRecipientError` when the last SF delivers nothing at
     some count, or when the deconditioned expected frames exceed the
     stream's total budget, where the simulator abandons the stream.
@@ -483,11 +346,7 @@ def evaluate_stream(
     dead = s_final <= 0.0
     if dead.any():
         raise UnreachableRecipientError(costs.distance_m, float(remaining[dead].max()))
-    denom = s_final if eta_denominator == "success" else 1.0 - s_final
-    vanished = np.flatnonzero(denom <= 0.0)
-    if vanished.size:
-        raise LossFreeRoundError(costs.distance_m, segments[block[vanished[0]]][0])
-    eta = remaining / denom
+    eta = remaining / s_final
 
     energy = started(e_att)[block, col] + eta * e_att[block, col]
     time = np.concatenate(([0.0], (budgets * slots[:-1]).cumsum()))[block] + eta * slots[block]

@@ -88,25 +88,13 @@ def scheme_code(spec: ExperimentSpec, scheme: Scheme) -> RatelessModel:
 
 
 def build_tables(
-    spec: ExperimentSpec,
-    distances: Optional[Sequence[float]] = None,
-    intensity_per_m2: Optional[float] = None,
+    spec: ExperimentSpec, distances: Optional[Sequence[float]] = None
 ) -> dict[float, analysis.SuccessTables]:
     """Success tables on the reporting grid, keyed by distance."""
-    field = spec.network.interferers
-    if intensity_per_m2 is not None:
-        field = dataclasses.replace(field, intensity_per_m2=intensity_per_m2)
     if distances is None:
         distances = spec.grid_distances()
     return {
-        float(d): analysis.success_tables(
-            float(d),
-            spec.firmware.fragment_payload_bytes,
-            spec.phy,
-            spec.network.link,
-            field,
-            options=spec.analysis,
-        )
+        float(d): analysis.success_tables(float(d), spec.law, options=spec.analysis)
         for d in distances
     }
 
@@ -115,23 +103,16 @@ def _costs(
     spec: ExperimentSpec, tables: dict[float, analysis.SuccessTables]
 ) -> dict[float, analysis.StreamCosts]:
     """The stream costs of each table, shared by every scheme and plan."""
-    return {
-        d: analysis.stream_costs(
-            tab, spec.phy, spec.network.duty_cycle_max_percent, spec.analysis.energy_formula
-        )
-        for d, tab in tables.items()
-    }
+    return {d: analysis.stream_costs(tab, spec.law) for d, tab in tables.items()}
 
 
 def _expected(
-    segments: list[Segment], costs: analysis.StreamCosts, needed: float, spec: ExperimentSpec
+    segments: list[Segment], costs: analysis.StreamCosts, needed: float
 ) -> Optional[tuple[float, float]]:
     """Deconditioned (energy J, time s) of one stream at one distance, or
     ``None`` where the stream does not reach it."""
     try:
-        energy, time, _ = analysis.evaluate_stream(
-            segments, costs, needed, spec.analysis.eta_denominator
-        )
+        energy, time, _ = analysis.evaluate_stream(segments, costs, needed)
     except analysis.UnreachableRecipientError:
         return None
     return float(costs.weights @ energy), float(costs.weights @ time)
@@ -161,7 +142,7 @@ def _group_assignment(
         mean = at_d.mean()
         cost = {}
         for sf in ALL_SFS:
-            res = _expected([(sf, cap)], mean, needed, spec)
+            res = _expected([(sf, cap)], mean, needed)
             if res is not None:
                 cost[sf] = res[pick]
         assignment[d] = min(cost, key=cost.get, default=None)
@@ -196,9 +177,7 @@ def _analysis_metrics(
         for d, sf in assignment.items():
             if sf != group_sf:
                 continue
-            res = _expected(
-                segments, costs[d] if group_sf is None else costs[d].mean(), needed, spec
-            )
+            res = _expected(segments, costs[d] if group_sf is None else costs[d].mean(), needed)
             if res is not None:
                 own[d] = res[1]
                 out[d] = (res[0], wait + res[1])
@@ -227,9 +206,7 @@ def run_suite(
     if mode not in ("analysis", "simulate", "both"):
         raise ValueError("mode must be 'analysis', 'simulate', or 'both'")
     grid = [float(d) for d in spec.grid_distances()]
-    e_norm = analysis.normalization_energy_j(
-        spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
-    )
+    e_norm = analysis.normalization_energy_j(spec.law, spec.firmware.fragments)
     # group-based sessions take their SFs from the grid tables the closed
     # forms use; a disc layout's recipients take those of the nearest of
     # 256 evenly spaced distances out to the cell edge
@@ -308,9 +285,7 @@ def sweep_grid(spec: ExperimentSpec) -> list[SweepRow]:
         raise ValueError("the design sweep needs a ramp scheme in the suite")
     needed = spec.firmware.code.expected_fragments()
     cap = sim.attempts_cap(spec, spec.firmware.code)
-    e_norm = analysis.normalization_energy_j(
-        spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
-    )
+    e_norm = analysis.normalization_energy_j(spec.law, spec.firmware.fragments)
     # the per-SF costs depend only on the table, not on (w, L)
     costs = _costs(spec, build_tables(spec)).values()
     rows = []
@@ -319,7 +294,7 @@ def sweep_grid(spec: ExperimentSpec) -> list[SweepRow]:
             scheme = ProposedScheme(min_sf=min_sf, max_sf=base.max_sf, frames_per_round=w)
             [(_, segments)] = session_plan(scheme, cap)
             # averaged over the bins the design reaches, as in run_suite
-            reached = [_expected(segments, c, needed, spec) for c in costs]
+            reached = [_expected(segments, c, needed) for c in costs]
             ee = [res[0] / e_norm for res in reached if res]
             dt = [res[1] / 3600.0 for res in reached if res]
             rows.append(

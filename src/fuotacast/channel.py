@@ -1,9 +1,11 @@
-"""Link geometry and randomness.
+"""The channel both engines share.
 
-Deterministic path loss with unit-mean Rayleigh block fading, the
-interference radius that truncates the interferer field, and exact count
-statistics for the Poisson field inside that radius. The simulator draws
-fading and the field itself (``sim._draw_interferers``).
+Deterministic path loss with unit-mean Rayleigh block fading, a Poisson
+field of interferers truncated at the interference radius, and
+:class:`ChannelLaw`, the per-SF constants that the closed forms and the
+simulator both read, derived once per experiment. Exact count statistics
+for the field. The simulator draws fading and the field itself
+(``sim._draw_interferers``).
 """
 
 from __future__ import annotations
@@ -36,22 +38,6 @@ class LinkModel:
             raise ValueError("link_gain must be positive")
         if self.tx_rf_power_w <= 0.0:
             raise ValueError("tx_rf_power_w must be positive")
-
-    def outage_threshold(self, sensitivity_w: float, distance_m: float) -> float:
-        """Fading level below which the received power misses the sensitivity floor."""
-        if sensitivity_w <= 0.0:
-            raise ValueError("sensitivity must be positive")
-        if distance_m <= 0.0:
-            raise ValueError("distance must be positive")
-        return (
-            sensitivity_w
-            * distance_m ** self.path_loss_exponent
-            / (self.link_gain * self.tx_rf_power_w)
-        )
-
-    def detection_probability(self, sensitivity_w: float, distance_m: float) -> float:
-        """Chance that one frame clears the sensitivity floor, interference aside."""
-        return math.exp(-self.outage_threshold(sensitivity_w, distance_m))
 
 
 @dataclass(frozen=True)
@@ -124,21 +110,85 @@ class InterfererField:
         )
 
 
-def interference_radius(
-    link: LinkModel, field: InterfererField, sensitivity12_w: float
-) -> float:
-    """Distance beyond which an interferer clears the most forgiving
-    sensitivity floor with probability below ``detection_epsilon``."""
-    if sensitivity12_w <= 0.0:
-        raise ValueError("sensitivity must be positive")
-    budget = link.link_gain * link.tx_rf_power_w * math.log(1.0 / field.detection_epsilon)
-    return (budget / sensitivity12_w) ** (1.0 / link.path_loss_exponent)
+@dataclass(frozen=True, eq=False)
+class ChannelLaw:
+    """Every per-SF channel constant that the closed forms and the simulator
+    use, derived once per experiment. Rows are the desired SF 7..12; a
+    second axis, where there is one, is the interferer SF 7..12.
 
+    - ``radius_m``: the interference radius, beyond which an SF12 interferer
+      clears the most forgiving sensitivity floor with probability below
+      ``detection_epsilon``; ``mean_count`` interferers lie inside it.
+    - ``sf_mix``: the interferer SF law.
+    - ``preamble_window``, ``frame_window``: the probability that one
+      interferer's frame overlaps the desired preamble, or the whole desired
+      frame, on its channel: frame_rate_hz * (span + interferer airtime) /
+      channel_count.
+    - ``capture``: linear capture ratios; an overlap kills when the
+      interferer's received power times the ratio exceeds the desired power.
+    - ``detect_scale``: sensitivity over link gain times transmit power; a
+      frame at distance d clears the floor when its fading exceeds
+      d**alpha * detect_scale.
+    - ``e_frame``, ``e_preamble``: the energy of listening to a whole frame
+      and to a preamble.
+    - ``slot_s``: the spacing of consecutive frames under the duty cycle.
+    """
 
-def mean_interferer_count(field: InterfererField, radius_m: float) -> float:
-    if radius_m < 0.0:
-        raise ValueError("radius must be nonnegative")
-    return field.intensity_per_m2 * math.pi * radius_m**2
+    path_loss_exponent: float
+    radius_m: float
+    mean_count: float
+    sf_mix: np.ndarray
+    preamble_window: np.ndarray
+    frame_window: np.ndarray
+    capture: np.ndarray
+    detect_scale: np.ndarray
+    e_frame: np.ndarray
+    e_preamble: np.ndarray
+    slot_s: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        phy: PhyProfile,
+        link: LinkModel,
+        field: InterfererField,
+        payload_bytes: int,
+        duty_cycle_max_percent: float,
+    ) -> "ChannelLaw":
+        """The law of frames of ``payload_bytes`` sent at the duty cycle.
+        Both engines count at most one overlap per interferer and frame on
+        average, so a window above 1 is rejected."""
+        airtime = np.array([phy.frame_airtime(s, payload_bytes) for s in ALL_SFS])
+        preamble = np.array([phy.preamble_duration(s) for s in ALL_SFS])
+        l_bar = np.array([field.mean_frame_duration_s[j] for j in ALL_SFS])
+
+        def window(span: np.ndarray) -> np.ndarray:
+            return field.frame_rate_hz * (span[:, None] + l_bar) / field.channel_count
+
+        frame_window = window(airtime)
+        if frame_window.max() > 1.0:
+            i, j = np.unravel_index(np.argmax(frame_window), frame_window.shape)
+            raise ValueError(
+                f"interferers.frame_rate_hz {field.frame_rate_hz:g} makes one SF{ALL_SFS[j]}"
+                f" interferer overlap an SF{ALL_SFS[i]} frame {frame_window[i, j]:.3g} times"
+                " on average; the channel model holds up to once per frame"
+            )
+        sensitivity = np.array([phy.sensitivity_w(s) for s in ALL_SFS])
+        budget = link.link_gain * link.tx_rf_power_w * math.log(1.0 / field.detection_epsilon)
+        radius = (budget / float(sensitivity[-1])) ** (1.0 / link.path_loss_exponent)
+        return cls(
+            path_loss_exponent=link.path_loss_exponent,
+            radius_m=radius,
+            mean_count=field.intensity_per_m2 * math.pi * radius**2,
+            sf_mix=np.array([field.sf_probabilities[j] for j in ALL_SFS]),
+            preamble_window=window(preamble),
+            frame_window=frame_window,
+            capture=np.array([[phy.capture_ratio(i, j) for j in ALL_SFS] for i in ALL_SFS]),
+            detect_scale=sensitivity / (link.link_gain * link.tx_rf_power_w),
+            e_frame=np.array([phy.rx_energy_frame(s, payload_bytes) for s in ALL_SFS]),
+            e_preamble=np.array([phy.rx_energy_preamble(s) for s in ALL_SFS]),
+            slot_s=(100.0 / duty_cycle_max_percent) * airtime,
+        )
 
 
 @functools.lru_cache(maxsize=8)

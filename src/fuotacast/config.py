@@ -7,11 +7,14 @@ and then casts the merged dict to its canonical form in one walk against
 the defaults: every key must be one the defaults have, every leaf takes the
 type of its default, the spreading-factor maps get int keys, and each entry
 of a list of mappings (``lifetime.locations``) must hold every key of the
-default's first entry. A null ``firmware.fragment_payload_bytes`` becomes
+default's first entry. No leaf may be null, a NaN or infinite float, or a
+bool, except that a null ``firmware.fragment_payload_bytes`` becomes
 ceil(image_bytes / fragments). The fingerprint is the sha256 of that
 canonical dict as sorted, compact JSON, and every typed section is built by
-keyword from it. ``name`` and ``schemes`` must always come from the user
-file so no experiment silently runs under a default identity.
+keyword from it; the spec then derives its
+:class:`~fuotacast.channel.ChannelLaw`. ``name`` and ``schemes`` must always
+come from the user file so no experiment silently runs under a default
+identity.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import dataclasses
 import difflib
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass
 from importlib import resources
@@ -30,7 +34,7 @@ from typing import Mapping, Optional
 import yaml
 
 from .analysis import AnalysisOptions
-from .channel import InterfererField, LinkModel
+from .channel import ChannelLaw, InterfererField, LinkModel
 from .fec import RatelessModel
 from .phy import PhyProfile, check_sf
 from .schemes import FixedSfScheme, GroupBasedScheme, ProposedScheme, Scheme
@@ -208,6 +212,8 @@ class ExperimentSpec:
     # a dataclasses.replace of a section leaves it stale, so derive variants
     # with spec_from_mapping from to_dict() instead
     sections: dict = dataclasses.field(compare=False, repr=False)
+    # the channel constants both engines read, derived from the sections
+    law: ChannelLaw = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -223,6 +229,14 @@ class ExperimentSpec:
         labels = [s.label for s in self.schemes]
         if len(set(labels)) != len(labels):
             raise ValueError("scheme labels must be unique within one experiment")
+        law = ChannelLaw.build(
+            self.phy,
+            self.network.link,
+            self.network.interferers,
+            self.firmware.fragment_payload_bytes,
+            self.network.duty_cycle_max_percent,
+        )
+        object.__setattr__(self, "law", law)
 
     def grid_distances(self) -> tuple[float, ...]:
         return self.layout.bin_distances(self.network.cell_radius_m)
@@ -273,11 +287,24 @@ def _join(path: tuple) -> str:
     return ".".join(str(p) for p in path).replace(".[", "[") if path else "<root>"
 
 
-def _cast(kind: type, value, path: tuple):
+def _leaf(kind: type, value, path: tuple):
+    """``value`` cast to ``kind``, the type of the leaf's default. Null, a
+    bool where the default is not one, and a NaN or infinite float, given
+    or cast, are rejected."""
+    where = f"config key '{_join(path)}'"
+    if value is None:
+        raise ConfigError(f"{where} must not be null")
+    if isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{where} must not be a bool")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key '{_join(path)}': {exc}") from exc
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return out
 
 
 def _canonical(value, default, path: tuple = ()):
@@ -288,7 +315,7 @@ def _canonical(value, default, path: tuple = ()):
             raise ConfigError(f"config key '{_join(path)}' must be a mapping")
         if path[:2] in _LEAF_MAPS:
             row = next(iter(default.values()))
-            return {_cast(int, k, path): _canonical(v, row, (*path, k)) for k, v in value.items()}
+            return {_leaf(int, k, path): _canonical(v, row, (*path, k)) for k, v in value.items()}
         for key in value:
             if key not in default:
                 allowed = sorted(str(k) for k in default)
@@ -314,7 +341,7 @@ def _canonical(value, default, path: tuple = ()):
         raise ConfigError(f"config key '{_join(path)}' must be a scalar")
     if value is None and path == _PAYLOAD:
         return None
-    return _cast(type(default), value, path)
+    return _leaf(type(default), value, path)
 
 
 def _deep_merge(base: Mapping, override: Mapping) -> dict:
@@ -349,7 +376,11 @@ def _scheme_from_entry(entry, index: int) -> Scheme:
         if f.default is dataclasses.MISSING and f.name not in entry:
             raise ConfigError(f"schemes[{index}] of type {kind} requires an '{f.name}' key")
     casts = typing.get_type_hints(cls)
-    return cls(**{f.name: casts[f.name](entry[f.name]) for f in fields if f.name in entry})
+    return cls(**{
+        f.name: _leaf(casts[f.name], entry[f.name], ("schemes", f"[{index}]", f.name))
+        for f in fields
+        if f.name in entry
+    })
 
 
 def _build_spec(user: Mapping, defaults: dict) -> ExperimentSpec:

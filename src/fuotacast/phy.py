@@ -63,8 +63,11 @@ class PhyProfile:
             raise ValueError("header_flag must be 0 (header present) or 1 (header omitted)")
         if self.coding_rate_index not in (1, 2, 3, 4):
             raise ValueError("coding_rate_index must be in 1..4")
-        if self.rx_power_w < 0.0 or self.tx_power_w < 0.0:
-            raise ValueError("receive and transmit power draws must be nonnegative")
+        if self.rx_power_w <= 0.0:
+            # scheme energies are normalized by a listen at this draw
+            raise ValueError("rx_power_w must be positive")
+        if self.tx_power_w < 0.0:
+            raise ValueError("tx_power_w must be nonnegative")
         object.__setattr__(self, "ldro_sfs", tuple(sorted(check_sf(s) for s in self.ldro_sfs)))
 
         sens = {check_sf(s): float(v) for s, v in self.sensitivity_dbm.items()}

@@ -7,11 +7,21 @@ interferer-frame overlaps judged by the capture matrix; recipients stop
 listening the moment their rateless decoder is satisfied, and each stream
 stops the moment its last recipient finishes (instant completion feedback).
 
+Every per-SF constant of the channel (overlap windows, capture ratios,
+detection scale, listen energies and duty slots) comes from the
+experiment's :class:`~fuotacast.channel.ChannelLaw`, which the closed
+forms read too. ``_SfTables`` derives from it only what is the
+simulator's own: each SF's overlap rate per interferer, sum_j pi_j w_j
+over the interferer SF mix ``pi`` and the whole-frame windows ``w``, the
+SF law of an overlap, the share of an overlap's kills that fall on the
+preamble (the preamble window over the frame window), and the near share
+below.
+
 Interferer overlaps are generated per desired frame as a Poisson event
-stream whose rate matches the per-interferer collision windows, which
+stream whose rate matches the per-interferer overlap windows, which
 linearizes each interferer's Bernoulli overlap. The quadratic correction
-is of order the collision probability itself (~1e-4 at the default load),
-far below the simulation's statistical resolution.
+is of order the window itself (~1e-4 at the default load), far below the
+simulation's statistical resolution; the law rejects a window above 1.
 
 The sampler simulates only the frames whose outcome is not already known.
 A recipient's interferers are fixed for the session, so at one SF its
@@ -73,8 +83,8 @@ all of them.
 The state keeps three totals per recipient (full listens, preamble-only
 listens and energy), each added to on every pass, and no per-SF matrix.
 A segment forms its recipients' detection thresholds once, as distance to
-the path-loss exponent times the SF's sensitivity over the link budget,
-and shrinks them with the active set after each pass.
+the path-loss exponent times the SF's detection scale, and shrinks them
+with the active set after each pass.
 
 An interferer's distance is a counter-based draw: SplitMix64 (Steele, Lea
 & Flood, OOPSLA 2014) of the batch's key plus the interferer's slot, made
@@ -87,16 +97,16 @@ stored per interferer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import analysis
-from .channel import InterfererField, LinkModel, interference_radius, mean_interferer_count
+from .channel import ChannelLaw
 from .config import ExperimentSpec
 from .fec import RatelessModel
-from .phy import ALL_SFS, SF_MIN, PhyProfile
+from .phy import SF_MIN
 from .schemes import Scheme, session_plan
 
 # recipients simulated together in one batch state
@@ -193,44 +203,31 @@ class ExperimentResult:
 
 
 class _SfTables:
-    """Per-SF constants shared by every session of an experiment."""
+    """The simulator's own per-SF constants, derived from the channel law
+    that the closed forms read too: each row's overlap rate per interferer
+    and the SF law of an overlap, the share of an overlap's kills that fall
+    in the preamble, and the near share of the interference disc."""
 
-    def __init__(self, phy: PhyProfile, link: LinkModel, field: InterfererField,
-                 payload_bytes: int, duty_cycle_max_percent: float):
-        n_sf = len(ALL_SFS)
-        self.e_frame = np.zeros(n_sf)
-        self.e_preamble = np.zeros(n_sf)
-        self.slot_s = np.zeros(n_sf)
-        self.event_rate_per_interferer = np.zeros(n_sf)
-        self.sf_event_cdf = np.zeros((n_sf, n_sf))
-        self.preamble_share = np.zeros((n_sf, n_sf))
-        self.capture = np.zeros((n_sf, n_sf))
-        mix = np.array([field.sf_probabilities[j] for j in ALL_SFS])
-        l_bar = np.array([field.mean_frame_duration_s[j] for j in ALL_SFS])
-        for row, s in enumerate(ALL_SFS):
-            l_fr = phy.frame_airtime(s, payload_bytes)
-            l_pr = phy.preamble_duration(s)
-            self.e_frame[row] = phy.rx_energy_frame(s, payload_bytes)
-            self.e_preamble[row] = phy.rx_energy_preamble(s)
-            self.slot_s[row] = analysis.duty_slot_s(phy, s, payload_bytes, duty_cycle_max_percent)
-            windows = mix * (l_fr + l_bar)
-            self.event_rate_per_interferer[row] = (
-                field.frame_rate_hz * windows.sum() / field.channel_count
-            )
-            total = windows.sum()
-            self.sf_event_cdf[row] = np.cumsum(windows / total) if total > 0 else 1.0
-            self.preamble_share[row] = (l_pr + l_bar) / (l_fr + l_bar)
-            self.capture[row] = [phy.capture_ratio(s, j) for j in ALL_SFS]
+    def __init__(self, law: ChannelLaw):
+        self.law = law
+        # an interferer overlaps a frame of SF row r at SF column j with
+        # probability sf_mix[j] * frame_window[r, j]
+        windows = law.sf_mix * law.frame_window
+        self.event_rate_per_interferer = windows.sum(axis=1)
+        busy = self.event_rate_per_interferer > 0.0
+        self.sf_event_cdf = np.ones(windows.shape)
+        self.sf_event_cdf[busy] = np.cumsum(
+            windows[busy] / self.event_rate_per_interferer[busy, None], axis=1
+        )
         # an overlap's SF law per row, the increments of its CDF
-        self.sf_mix = np.diff(self.sf_event_cdf, axis=1, prepend=0.0)
-        sensitivity = np.array([phy.sensitivity_w(s) for s in ALL_SFS])
-        # a recipient detects a frame at SF row r when its fading exceeds
-        # distance**alpha * detect_scale[r]
-        self.detect_scale = sensitivity / (link.link_gain * link.tx_rf_power_w)
-        self.radius_m = interference_radius(link, field, sensitivity[-1])
-        self.near_share = self._near_share(link.path_loss_exponent)
+        self.overlap_mix = np.diff(self.sf_event_cdf, axis=1, prepend=0.0)
+        # an overlap of the whole frame falls on the preamble with this chance
+        self.preamble_share = law.preamble_window / np.where(
+            law.frame_window > 0.0, law.frame_window, 1.0
+        )
+        self.near_share = self._near_share()
 
-    def _near_share(self, path_loss_exponent: float) -> float:
+    def _near_share(self) -> float:
         """The share q of the interference disc's area, from its centre, whose
         interferers are judged one by one; see :func:`_far_law` for the rest.
 
@@ -240,13 +237,13 @@ class _SfTables:
         twenty per decade, with the least sum over the rows is taken, a rule
         on the config alone.
         """
+        law = self.law
+        alpha = law.path_loss_exponent
         q = 10.0 ** (np.arange(-120, 1) / 20.0)
         # the far law's gap per row (rows) and share (columns)
-        gap = (self.detect_scale * self.radius_m**path_loss_exponent)[:, None] * q ** (
-            path_loss_exponent / 2.0
-        )
+        gap = (law.detect_scale * law.radius_m**alpha)[:, None] * q ** (alpha / 2.0)
         bound = (
-            self.sf_mix[:, None, :] * np.exp(-gap[:, :, None] / self.capture[:, None, :])
+            self.overlap_mix[:, None, :] * np.exp(-gap[:, :, None] / law.capture[:, None, :])
         ).sum(axis=2)
         return float(q[np.argmin((q + (1.0 - q) * bound).sum(axis=0))])
 
@@ -274,7 +271,7 @@ class _SessionState:
 
     def __init__(self, sessions: int, session: np.ndarray, d_alpha: np.ndarray,
                  thresholds: np.ndarray, int_counts: np.ndarray, radius_m: float,
-                 path_loss_exponent: float, detect_scale: np.ndarray, key: np.uint64,
+                 path_loss_exponent: float, key: np.uint64,
                  near_counts: Optional[np.ndarray] = None, near_share: float = 0.0):
         n = d_alpha.size
         self.sessions = sessions
@@ -296,9 +293,6 @@ class _SessionState:
         self.half_alpha = path_loss_exponent / 2.0
         # distance**alpha of the zone edge, the least a far interferer has
         self.far_edge_alpha = self.radius_alpha * near_share**self.half_alpha
-        # recipient i detects a frame at SF row r when its fading exceeds
-        # d_alpha[i] * detect_scale[r]
-        self.detect_scale = detect_scale
         self.received = np.zeros(n, dtype=np.int64)
         self.completed = np.zeros(n, dtype=bool)
         self.completion_time = np.full(n, np.nan)
@@ -394,8 +388,8 @@ def _far_law(
     (Poisson thinning; Lewis & Shedler, Naval Res. Logist. Q. 1979). With
     ``near_share`` 0, ``gap`` is 0 and the candidates are the overlaps.
     """
-    gap = state.detect_scale[row] * state.far_edge_alpha
-    tilt = tables.sf_mix[row] * np.exp(-gap / tables.capture[row])
+    gap = tables.law.detect_scale[row] * state.far_edge_alpha
+    tilt = tables.overlap_mix[row] * np.exp(-gap / tables.law.capture[row])
     # at least the least normal float, so that a bound lost to underflow
     # leaves no far candidate rather than a division by zero
     bound = max(float(tilt.sum()), np.finfo(float).tiny)
@@ -440,7 +434,7 @@ def _dirty_frame_verdicts(
     path_loss = state.d_alpha[active]
     rho = tables.event_rate_per_interferer[row]
     gap, bound, far_cdf = far_law
-    sf_cdf, capture = tables.sf_event_cdf[row], tables.capture[row]
+    sf_cdf, capture = tables.sf_event_cdf[row], tables.law.capture[row]
     for lo in range(0, frames, VERDICT_BLOCK):
         hi = min(lo + VERDICT_BLOCK, frames)
         n = hi - lo
@@ -545,18 +539,20 @@ def _serve_segment(
     still unfinished at the budget. Mutates the state in place.
     """
     row = sf - SF_MIN
+    law = tables.law
     sent = np.zeros(state.sessions, dtype=np.int64)
     if max_frames <= 0:
         return sent, active
     members = active
     passed = np.zeros(active.size, dtype=np.int64)  # frames each has heard so far
-    # the segment's per-recipient constants, shrunk with ``active`` each pass
-    threshold = state.d_alpha[active] * state.detect_scale[row]
+    # the segment's per-recipient constants, shrunk with ``active`` each pass;
+    # a frame is detected when its fading exceeds the threshold
+    threshold = state.d_alpha[active] * law.detect_scale[row]
     p = np.exp(-threshold)
     far_law = _far_law(state, tables, row)
     weight = state.candidate_weight(active, far_law[1])
     p_dirty = -np.expm1(-tables.event_rate_per_interferer[row] * weight)
-    e_full, e_preamble = tables.e_frame[row], tables.e_preamble[row]
+    e_full, e_preamble = law.e_frame[row], law.e_preamble[row]
     while active.size > 0:
         need = state.thresholds[active] - state.received[active]
         f = _pass_lengths(need, p, chunk_frames, max_frames - passed)
@@ -587,7 +583,7 @@ def _serve_segment(
         finishers = active[fin]
         state.completed[finishers] = True
         state.completion_time[finishers] = (
-            t_start[state.session[finishers]] + passed[fin] * tables.slot_s[row]
+            t_start[state.session[finishers]] + passed[fin] * law.slot_s[row]
         )
         # a session sends until its last member leaves: at that member's
         # completing frame, or at the budget
@@ -636,18 +632,15 @@ def run_session(
     session places ``spec.layout`` afresh. A group-based scheme needs
     ``group_assignment``, the serving SF per distance (``None`` where
     unreachable); each recipient joins the group of its nearest key.
-    ``tables`` may carry the per-SF constants of ``spec`` when many
-    batches share them, as in :func:`session_batches`.
+    ``tables`` may carry the simulator's per-SF constants of ``spec`` when
+    many batches share them, as in :func:`session_batches`.
     """
     if sessions < 1:
         raise ValueError("a batch needs at least one session")
-    phy, net = spec.phy, spec.network
-    link, fld = net.link, net.interferers
+    phy, net, law = spec.phy, spec.network, spec.law
     code = code or spec.firmware.code
     if tables is None:
-        tables = _SfTables(
-            phy, link, fld, spec.firmware.fragment_payload_bytes, net.duty_cycle_max_percent
-        )
+        tables = _SfTables(law)
 
     if distances is None:
         distances = _place_recipients(spec, rng, sessions)
@@ -656,20 +649,17 @@ def run_session(
     n = distances.size
     session = np.repeat(np.arange(sessions), n // sessions)
 
-    counts, near = _draw_interferers(
-        rng, mean_interferer_count(fld, tables.radius_m), tables.near_share, n
-    )
+    counts, near = _draw_interferers(rng, law.mean_count, tables.near_share, n)
     thresholds = code.sample_completion_threshold(rng, size=n)
 
     state = _SessionState(
         sessions=sessions,
         session=session,
-        d_alpha=distances**link.path_loss_exponent,
+        d_alpha=distances**law.path_loss_exponent,
         thresholds=np.asarray(thresholds, dtype=np.int64),
         int_counts=counts,
-        radius_m=tables.radius_m,
-        path_loss_exponent=link.path_loss_exponent,
-        detect_scale=tables.detect_scale,
+        radius_m=law.radius_m,
+        path_loss_exponent=law.path_loss_exponent,
         key=rng.integers(2**64, dtype=np.uint64),
         near_counts=near,
         near_share=tables.near_share,
@@ -693,7 +683,7 @@ def run_session(
         for sf, budget in segments:
             sent, active = _serve_segment(rng, state, tables, sf, budget, active, elapsed, chunk)
             transmissions += int(sent.sum())
-            elapsed += sent * tables.slot_s[sf - SF_MIN]
+            elapsed += sent * law.slot_s[sf - SF_MIN]
 
     return SessionResult(
         session=session,
@@ -727,10 +717,7 @@ def session_batches(
     all on one set of per-SF constants. ``kwargs`` go to
     :func:`run_session`."""
     per_batch = max(1, BATCH_RECIPIENTS // spec.layout.recipients)
-    tables = _SfTables(
-        spec.phy, spec.network.link, spec.network.interferers,
-        spec.firmware.fragment_payload_bytes, spec.network.duty_cycle_max_percent,
-    )
+    tables = _SfTables(spec.law)
     children = np.random.SeedSequence(seed).spawn(-(-runs // per_batch))
     for b, child in enumerate(children):
         yield run_session(
@@ -773,9 +760,7 @@ def run_experiment(
 
     bins = np.array(spec.grid_distances())
     edges = np.linspace(0.0, spec.network.cell_radius_m, bins.size + 1)
-    e_norm = analysis.normalization_energy_j(
-        spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
-    )
+    e_norm = analysis.normalization_energy_j(spec.law, spec.firmware.fragments)
 
     ee_runs = np.full((runs, bins.size), np.nan)
     dt_runs = np.full((runs, bins.size), np.nan)

@@ -35,6 +35,11 @@ def field(spec):
     return spec.network.interferers
 
 
+@pytest.fixture(scope="session")
+def law(spec):
+    return spec.law
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

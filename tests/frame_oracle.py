@@ -27,13 +27,14 @@ def serve_segment_by_frame(
     """Send up to ``max_frames`` frames at one SF to the active recipients,
     simulating every frame; same contract as ``sim._serve_segment``."""
     row = sf - SF_MIN
+    law = tables.law
     sent = np.zeros(state.sessions, dtype=np.int64)
     passed = 0
     while passed < max_frames and active.size > 0:
         f = min(chunk_frames, max_frames - passed)
         a = active.size
         fading = rng.exponential(1.0, size=(a, f))
-        threshold = state.d_alpha[active] * state.detect_scale[row]
+        threshold = state.d_alpha[active] * law.detect_scale[row]
         detected = fading > threshold[:, None]
 
         frame_kill = np.zeros((a, f), dtype=bool)
@@ -51,7 +52,7 @@ def serve_segment_by_frame(
                 src_local = (rng.random(total) * state.int_counts[g]).astype(np.int64)
                 u_alpha = state.interferer_u_alpha(state.interferer_slots(g, src_local))
                 a_event = fading.ravel()[cell]
-                limit = a_event * u_alpha / (state.d_alpha[g] * tables.capture[row, j])
+                limit = a_event * u_alpha / (state.d_alpha[g] * law.capture[row, j])
                 kill = rng.exponential(1.0, size=total) > limit
                 in_pre = rng.random(total) < tables.preamble_share[row, j]
                 fk = np.bincount(cell[kill], minlength=a * f) > 0
@@ -73,7 +74,7 @@ def serve_segment_by_frame(
         preamble_only = listen_mask.sum(axis=1) - full
         state.full_listens[active] += full
         state.preamble_listens[active] += preamble_only
-        state.energy[active] += full * tables.e_frame[row] + preamble_only * tables.e_preamble[row]
+        state.energy[active] += full * law.e_frame[row] + preamble_only * law.e_preamble[row]
         state.received[active] += np.where(
             done, need[:, 0], (success & listen_mask).sum(axis=1)
         )
@@ -81,7 +82,7 @@ def serve_segment_by_frame(
         finishers = active[done]
         state.completed[finishers] = True
         state.completion_time[finishers] = (
-            t_start[state.session[finishers]] + (passed + first[done] + 1) * tables.slot_s[row]
+            t_start[state.session[finishers]] + (passed + first[done] + 1) * law.slot_s[row]
         )
         # a session ends the pass at its last member's completing frame when
         # every member completes in it, else after the whole pass

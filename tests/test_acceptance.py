@@ -20,7 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from fuotacast import analysis, benchmarks, channel, cli, sim
+from fuotacast import analysis, benchmarks, cli, sim
+from fuotacast.channel import ChannelLaw
 from fuotacast.config import load_default_spec
 from fuotacast.lifetime import DutyProfile, battery_lifetime_years
 from fuotacast.schemes import FixedSfScheme, session_plan
@@ -133,6 +134,7 @@ class TestAirtimeReference:
 class TestInterferenceFreeLimits:
     def test_silent_interferers_reduce_to_pure_outage(self, capsys, phy, link, field):
         quiet = dataclasses.replace(field, frame_rate_hz=0.0)
+        quiet_law = ChannelLaw.build(phy, link, quiet, 50, 1.0)
         worst = 0.0
         for d in (100.0, 500.0, 1000.0):
             for sf in (7, 10, 12):
@@ -143,8 +145,8 @@ class TestInterferenceFreeLimits:
                 )
                 expect = 1.0 - math.exp(-threshold)
                 for n in (0, 1, 5, 25, 200):
-                    tab = analysis.success_tables(d, 50, phy, link, quiet, counts=[n])
-                    got = 1.0 - float(tab.preamble_success_for(sf)[0])
+                    tab = analysis.success_tables(d, quiet_law, counts=[n])
+                    got = 1.0 - float(tab.preamble_success[sf - 7][0])
                     worst = max(worst, abs(got - expect))
         ok = worst <= 1e-9
         _verdict(
@@ -179,10 +181,8 @@ class TestInterferenceFreeLimits:
             for o in res.outcomes
         )
 
-        tables = analysis.success_tables(
-            400.0, payload, phy, net.link, net.interferers, counts=[0]
-        )
-        costs = analysis.stream_costs(tables, phy, net.duty_cycle_max_percent, "partitioned")
+        tables = analysis.success_tables(400.0, spec.law, counts=[0])
+        costs = analysis.stream_costs(tables, spec.law)
         energy, _, frames = analysis.evaluate_stream(
             session_plan(FixedSfScheme(7), 10 * k)[0][1], costs, float(k)
         )
@@ -435,13 +435,17 @@ class TestLifetimeReproduction:
 
 
 class TestPropertyGates:
-    def test_probability_and_energy_identities(self, capsys, spec, phy, link, field):
-        tables = analysis.success_tables(500.0, 50, phy, link, field, counts=[0, 2, 8])
+    def test_probability_and_energy_identities(self, capsys, spec, phy, link, law):
+        tables = analysis.success_tables(500.0, law, counts=[0, 2, 8])
         partition = True
         for sf in range(7, 13):
-            pre = tables.preamble_success_for(sf)
-            fr = tables.frame_success_for(sf)
-            detect = link.detection_probability(phy.sensitivity_w(sf), 500.0)
+            pre = tables.preamble_success[sf - 7]
+            fr = tables.frame_success[sf - 7]
+            detect = math.exp(
+                -phy.sensitivity_w(sf)
+                * 500.0**link.path_loss_exponent
+                / (link.link_gain * link.tx_rf_power_w)
+            )
             partition &= bool(
                 np.all(fr >= 0.0)
                 and np.all(fr <= pre + 1e-12)
@@ -464,7 +468,7 @@ class TestPropertyGates:
 
         # frames go out at the end of their duty slots
         stream = [7, 7, 8, 9, 12, 10, 11, 7, 12, 8] * 5
-        ends = np.cumsum([analysis.duty_slot_s(phy, s, payload, 1.0) for s in stream])
+        ends = np.cumsum([law.slot_s[s - 7] for s in stream])
         air = np.cumsum([phy.frame_airtime(s, payload) for s in stream])
         duty_ok = bool(np.all(air / ends <= 0.01 + 1e-12))
 
@@ -485,9 +489,9 @@ class TestPropertyGates:
         mean_ok = abs(float(fading.mean()) - 1.0) <= 0.01
         tail_ok = abs(float((fading > 1.0).mean()) - math.exp(-1.0)) <= 0.005
 
-        tables = sim._SfTables(phy, link, field, field.payload_bytes, 1.0)
-        radius = channel.interference_radius(link, field, phy.sensitivity_w(12))
-        expect = channel.mean_interferer_count(field, radius)
+        field_law = ChannelLaw.build(phy, link, field, field.payload_bytes, 1.0)
+        tables = sim._SfTables(field_law)
+        radius, expect = field_law.radius_m, field_law.mean_count
         draws = 100_000
         counts, near = sim._draw_interferers(rng, expect, tables.near_share, draws)
         state = _interferer_state(

@@ -126,17 +126,10 @@ class TestAgainstDirectEvaluation:
         scheme = next(s for s in spec.schemes if isinstance(s, ProposedScheme))
         needed = spec.firmware.code.expected_fragments()
         segments = _plan(scheme, sim.attempts_cap(spec, spec.firmware.code))
-        e_norm = analysis.normalization_energy_j(
-            spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
-        )
+        e_norm = analysis.normalization_energy_j(spec.law, spec.firmware.fragments)
         for d in (100.0, 500.0, 1000.0):
-            tab = analysis.success_tables(
-                d, spec.firmware.fragment_payload_bytes, spec.phy,
-                spec.network.link, spec.network.interferers, options=spec.analysis,
-            )
-            energy, time, _ = analysis.evaluate_stream(
-                segments, _costs(spec, tab), needed, spec.analysis.eta_denominator
-            )
+            tab = analysis.success_tables(d, spec.law, options=spec.analysis)
+            energy, time, _ = analysis.evaluate_stream(segments, _costs(spec, tab), needed)
             row = next(
                 r for r in rows if r.scheme == "proposed" and r.distance_m == d
             )
@@ -151,13 +144,8 @@ class TestAgainstDirectEvaluation:
         rows, _ = suite
         # an fsf-10 recipient at 100 m needs exactly `fragments` receptions,
         # not the coded expectation
-        tab = analysis.success_tables(
-            100.0, spec.firmware.fragment_payload_bytes, spec.phy,
-            spec.network.link, spec.network.interferers, options=spec.analysis,
-        )
-        e_norm = analysis.normalization_energy_j(
-            spec.phy, spec.firmware.fragments, spec.firmware.fragment_payload_bytes
-        )
+        tab = analysis.success_tables(100.0, spec.law, options=spec.analysis)
+        e_norm = analysis.normalization_energy_j(spec.law, spec.firmware.fragments)
         row = next(r for r in rows if r.scheme == "fsf-10" and r.distance_m == 100.0)
         energy = analysis.evaluate_stream(
             [(10, 10**9)], _costs(spec, tab), float(spec.firmware.fragments)
@@ -176,15 +164,11 @@ class TestAgainstDirectEvaluation:
 
 
 class TestOnePlanEvaluator:
-    @pytest.mark.parametrize("eta_denominator", ["success", "failure_literal"])
-    def test_one_sf_ramp_matches_fixed_sf(self, eta_denominator):
+    def test_one_sf_ramp_matches_fixed_sf(self):
         # with an ideal code both schemes need the same fragments, and a
         # ramp from SF 11 to SF 11 is one open-ended SF 11 stream whatever
         # its round length
-        spec = load_default_spec({
-            "firmware": {"code": {"mode": "ideal"}},
-            "analysis": {"eta_denominator": eta_denominator},
-        })
+        spec = load_default_spec({"firmware": {"code": {"mode": "ideal"}}})
         costs = benchmarks._costs(spec, benchmarks.build_tables(spec, [200.0, 600.0, 1000.0]))
         want = benchmarks._analysis_metrics(costs, spec, FixedSfScheme(11))
         assert not any(math.isnan(e) for e, _ in want.values())
@@ -249,7 +233,7 @@ class TestUnreachableHandling:
         for col in range(tab.count_values.size):
             spent, received = 0.0, 0.0
             for sf in range(7, 13):
-                s = float(tab.frame_success_for(sf)[col])
+                s = float(tab.frame_success[sf - 7][col])
                 if sf == 12 or received + 300.0 * s >= needed:
                     want.append(spent + (needed - received) / s)
                     break
@@ -270,7 +254,7 @@ class TestGroupStacking:
         tables = benchmarks.build_tables(spec)
 
         def mean_success(d, sf):
-            return float(tables[d].count_weights @ tables[d].frame_success_for(sf))
+            return float(tables[d].count_weights @ tables[d].frame_success[sf - 7])
 
         assignment = benchmarks._group_assignment(benchmarks._costs(spec, tables), spec, scheme)
         assert all(
@@ -282,7 +266,7 @@ class TestGroupStacking:
             groups.setdefault(sf, []).append(d)
         duration = {
             sf: needed / mean_success(max(ds), sf)
-            * analysis.duty_slot_s(phy, sf, spec.firmware.fragment_payload_bytes, dc)
+            * (100.0 / dc) * phy.frame_airtime(sf, spec.firmware.fragment_payload_bytes)
             for sf, ds in groups.items()
         }
 
@@ -291,7 +275,7 @@ class TestGroupStacking:
             wait = sum(t for s, t in duration.items() if s < sf)
             own = (
                 needed / mean_success(d, sf)
-                * analysis.duty_slot_s(phy, sf, spec.firmware.fragment_payload_bytes, dc)
+                * (100.0 / dc) * phy.frame_airtime(sf, spec.firmware.fragment_payload_bytes)
             )
             assert gb_rows[d].dt_hours_analysis == pytest.approx(
                 (wait + own) / 3600.0, rel=1e-12
@@ -522,10 +506,7 @@ class TestSimulationSuite:
             for o in res.outcomes:
                 # the nearest lattice point, ties to the lower one
                 d = float(lattice[np.argmin(np.abs(lattice - o.distance_m))])
-                tab = real(
-                    d, spec.firmware.fragment_payload_bytes, spec.phy,
-                    spec.network.link, spec.network.interferers, options=spec.analysis,
-                )
+                tab = real(d, spec.law, options=spec.analysis)
                 costs = benchmarks._costs(spec, {d: tab})
                 want = benchmarks._group_assignment(costs, spec, scheme)[d]
                 assert o.assigned_sf == want, (scheme.label, o.distance_m)

@@ -8,60 +8,57 @@ from hypothesis import given, strategies as st
 from test_sim import _interferer_state
 
 from fuotacast import sim
-from fuotacast.channel import (
-    InterfererField,
-    interference_radius,
-    interferer_count_weights,
-    mean_interferer_count,
-)
+from fuotacast.channel import ChannelLaw, InterfererField, interferer_count_weights
 
 # radius inside which an SF12 interferer is still detectable at the stock
 # link budget; solves detection_probability = epsilon in closed form
 FROZEN_INTERFERENCE_RADIUS = 1773.2775406687774
 
 
+def _detection_probability(law, sf, d):
+    """Chance that one frame at SF ``sf`` clears the sensitivity floor at
+    distance ``d``, interference aside."""
+    return math.exp(-law.detect_scale[sf - 7] * d**law.path_loss_exponent)
+
+
 class TestLinkModel:
-    def test_outage_threshold_and_detection(self, link, phy):
+    def test_outage_threshold_and_detection(self, link, phy, law):
         d = 650.0
         z = phy.sensitivity_w(10)
-        c = link.outage_threshold(z, d)
-        assert c == pytest.approx(z * d ** link.path_loss_exponent / (link.link_gain * link.tx_rf_power_w), rel=1e-15)
-        assert link.detection_probability(z, d) == pytest.approx(math.exp(-c), rel=1e-15)
+        c = law.detect_scale[10 - 7] * d**law.path_loss_exponent
+        want = z * d**link.path_loss_exponent / (link.link_gain * link.tx_rf_power_w)
+        assert c == pytest.approx(want, rel=1e-15)
+        assert _detection_probability(law, 10, d) == pytest.approx(math.exp(-c), rel=1e-15)
 
     @given(st.floats(min_value=10.0, max_value=5000.0))
-    def test_detection_decreases_with_distance(self, link, phy, d):
-        z = phy.sensitivity_w(9)
-        assert link.detection_probability(z, d + 1.0) <= link.detection_probability(z, d)
+    def test_detection_decreases_with_distance(self, law, d):
+        assert _detection_probability(law, 9, d + 1.0) <= _detection_probability(law, 9, d)
 
 
 class TestInterferenceRadius:
-    def test_frozen_value(self, link, field, phy):
-        r = interference_radius(link, field, phy.sensitivity_w(12))
-        assert r == pytest.approx(FROZEN_INTERFERENCE_RADIUS, rel=1e-9)
+    def test_frozen_value(self, law):
+        assert law.radius_m == pytest.approx(FROZEN_INTERFERENCE_RADIUS, rel=1e-9)
 
-    def test_detection_probability_at_radius_equals_epsilon(self, link, field, phy):
-        r = interference_radius(link, field, phy.sensitivity_w(12))
-        assert link.detection_probability(phy.sensitivity_w(12), r) == pytest.approx(
+    def test_detection_probability_at_radius_equals_epsilon(self, field, law):
+        assert _detection_probability(law, 12, law.radius_m) == pytest.approx(
             field.detection_epsilon, rel=1e-9
         )
 
-    def test_radius_by_bisection(self, link, field, phy):
-        z = phy.sensitivity_w(12)
+    def test_radius_by_bisection(self, field, law):
         lo, hi = 1.0, 1e7
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if link.detection_probability(z, mid) > field.detection_epsilon:
+            if _detection_probability(law, 12, mid) > field.detection_epsilon:
                 lo = mid
             else:
                 hi = mid
-        assert interference_radius(link, field, z) == pytest.approx(lo, rel=1e-6)
+        assert law.radius_m == pytest.approx(lo, rel=1e-6)
 
 
 class TestInterfererCounts:
-    def test_mean_count(self, field):
-        r = 1000.0
-        want = field.intensity_per_m2 * math.pi * r ** 2
-        assert mean_interferer_count(field, r) == pytest.approx(want, rel=1e-12)
+    def test_mean_count(self, field, law):
+        want = field.intensity_per_m2 * math.pi * law.radius_m ** 2
+        assert law.mean_count == pytest.approx(want, rel=1e-12)
 
     def test_count_weights_normalized_and_centered(self):
         counts, weights = interferer_count_weights(100.0, tail_mass=1e-6)
@@ -131,9 +128,9 @@ def _simulated_field(phy, link, field, radius_m, rng, recipients):
     """Interferer counts and distances of ``recipients`` recipients inside
     ``radius_m``, drawn as the simulator draws them: counts with their
     near-zone split, then the counter-based distance of each slot."""
-    tables = sim._SfTables(phy, link, field, field.payload_bytes, 1.0)
+    tables = sim._SfTables(ChannelLaw.build(phy, link, field, field.payload_bytes, 1.0))
     counts, near = sim._draw_interferers(
-        rng, mean_interferer_count(field, radius_m), tables.near_share, recipients
+        rng, field.intensity_per_m2 * math.pi * radius_m**2, tables.near_share, recipients
     )
     state = _interferer_state(
         radius_m, link.path_loss_exponent, rng.integers(2**64, dtype=np.uint64), counts,
@@ -168,7 +165,7 @@ class TestSamplers:
 
     def test_interferer_count_is_poisson(self, phy, link, field, rng):
         r = 300.0
-        mu = mean_interferer_count(field, r)
+        mu = field.intensity_per_m2 * math.pi * r**2
         counts, _ = _simulated_field(phy, link, field, r, rng, 4000)
         se = math.sqrt(mu / counts.size)
         assert counts.mean() == pytest.approx(mu, abs=4 * se)

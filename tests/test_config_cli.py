@@ -6,15 +6,17 @@ written, and the stable CSV schemas. Reproducibility is checked at the
 byte level: the same config and seed must reproduce identical outputs.
 """
 
+import copy
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from fuotacast import benchmarks, cli
+from fuotacast import benchmarks, cli, config
 from fuotacast.config import (
     ConfigError,
     default_config_dict,
@@ -27,7 +29,7 @@ from fuotacast.schemes import ProposedScheme
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE = REPO_ROOT / "configs" / "baseline.yaml"
 EXAMPLE_FULL = REPO_ROOT / "configs" / "example_full.yaml"
-BASELINE_FINGERPRINT = "4e8a38f2c4cfd1662009486904da01add6ad5e3c70fd0f1a7ff4f1b9086a09e2"
+BASELINE_FINGERPRINT = "11faf0ac1bce110da36370d304adc9efd41013ed40a27c5ef015711991c0aa7d"
 
 PIN_SCHEMES = [
     {"type": "proposed", "min_sf": 7, "max_sf": 12, "frames_per_round": 300},
@@ -36,42 +38,42 @@ PIN_SCHEMES = [
 # override merged into {name: pin, schemes: PIN_SCHEMES} (None: the packaged
 # defaults as they are) -> its fingerprint; one case per cast of the loader
 FINGERPRINT_PINS = {
-    "defaults": (None, "30643e6322016df930869f74a45f15091ec9766285d389481f5a47080f71b3d3"),
+    "defaults": (None, "b0e15a0ded49a033af3f9a727dc22c527e2456992a2c5afdfa3815cd44e36d8a"),
     "int-for-float": (
         {"network": {"cell_radius_m": 900}, "phy": {"bandwidth_hz": 125000}},
-        "050aa8811a52b0dff0f508e92d2ea1b8800ab5377d50dba2731a697ffb89e0a0",
+        "2b9fef3a4414e2ebd411ce30da0904c96d755bf197c34348d92b473a1b5e1714",
     ),
     "float-and-string-for-int": (
         {"layout": {"recipients": 40.0}, "firmware": {"fragments": "200"}},
-        "e86148271fe8007f7bd22f23274e9266dfb13c46a5557567338452b7fb8df05d",
+        "b3ed1fecabcde4440c59553732ce55f1dbdbfbc796c098b0c850011d70a8835c",
     ),
     "null-payload": (
         {"firmware": {"image_bytes": 10050, "fragment_payload_bytes": None}},
-        "2c78869a3e783ac49684048509b7897a12e3a98161142c4a730e93a015c42b81",
+        "6975940333870bfc3c51bd11aca215680a6d487c36ddf7ca48d6681158c1fbc8",
     ),
     "partial-leaf-map": (
         {"phy": {"sensitivity_dbm": {7: -124.0}}},
-        "b545d007e7629a9e58e5fafffc80a1689c8ddd11594f558b1954a40a2818e913",
+        "7db4d54deec0b5104e3012e530d20c2a67fecdb0ae0a78e7b158c72d1952f631",
     ),
     "quoted-sf-key": (
         {"phy": {"sensitivity_dbm": {"7": -124.0}}},
-        "b545d007e7629a9e58e5fafffc80a1689c8ddd11594f558b1954a40a2818e913",
+        "7db4d54deec0b5104e3012e530d20c2a67fecdb0ae0a78e7b158c72d1952f631",
     ),
     "unsorted-ldro-sfs": (
         {"phy": {"ldro_sfs": [12, 11]}},
-        "67e8d8aafdec4366fb569ea98673b03e7e62e29d67a223a045a737bff3f313da",
+        "149c746226004c84745719e6d673f89c745951343352472f074a08746e84d1c8",
     ),
     "scheme-defaults-omitted": (
         {"schemes": [{"type": "proposed"}]},
-        "73241d0f1f9ff43d0b1e0fef1e4e4f9f1d7059b7c7e21f4af95be8a68c65174a",
+        "910153c43f8653ad26bcb240ff4b3983cdac97651f08e40402de8c01fa2436c9",
     ),
     "locations-replaced": (
         {"lifetime": {"locations": [{"label": "mid", "distance_fraction": 0.5, "uplink_sf": 9}]}},
-        "59fd1d28b2dc9bf34b95396701554042e17cff90ccd4c2bc61af3b8d6dc1545d",
+        "4e7ad6c78168f9b684748a97ee28dab6d65c0c87d0be31ab91bb68880add5c7b",
     ),
 }
 # baseline.yaml with --seed 7, and baseline.yaml with a `seed: 7` line
-SEED7_FINGERPRINT = "ed8c2356b7edc3e6cb1ab4e8955c80907e476f91945769da02b4d2bd45ea7c31"
+SEED7_FINGERPRINT = "2bb6a6962b2f121bf5e80c46381829a6cfe5711add2f113b303a6adda51a05ad"
 
 DISTANCE_HEADER = (
     "distance,scheme,reachable,EE_norm_analysis,EE_norm_sim,"
@@ -130,7 +132,9 @@ class TestConfigRoundTrip:
 
 class TestFingerprintPins:
     """Fingerprints pinned from the loader as it stood before the canonical
-    walk replaced the per-field parser and serializer."""
+    walk replaced the per-field parser and serializer, recomputed from the
+    same canonical dicts without the retired ``analysis.eta_denominator``
+    and ``analysis.energy_formula`` keys."""
 
     @pytest.mark.parametrize("case", sorted(FINGERPRINT_PINS))
     def test_pinned(self, case):
@@ -256,6 +260,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             load_default_spec({"seed": -1})
         assert "seed must be nonnegative" in str(exc.value)
+
+    def test_every_leaf_rejects_non_finite_bool_and_null(self, monkeypatch):
+        defaults = default_config_dict()
+        # parse the packaged defaults once, not once per case
+        monkeypatch.setattr(config, "default_config_dict", lambda: copy.deepcopy(defaults))
+
+        def leaves(node, path, key):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield from leaves(v, (*path, k), f"{key}.{k}" if key else str(k))
+            elif isinstance(node, list):
+                for i, v in enumerate(node):
+                    yield from leaves(v, (*path, i), f"{key}[{i}]")
+            else:
+                yield path, key
+
+        found = list(leaves(defaults, (), ""))
+        assert len(found) > 100
+        for path, key in found:
+            for bad in (math.nan, math.inf, -math.inf, True, None):
+                if bad is None and key == "firmware.fragment_payload_bytes":
+                    continue  # null derives the payload from the image
+                data = copy.deepcopy(defaults)
+                node = data
+                for step in path[:-1]:
+                    node = node[step]
+                node[path[-1]] = bad
+                with pytest.raises(ConfigError) as exc:
+                    spec_from_mapping(data)
+                assert f"{key}" in str(exc.value), (key, bad, str(exc.value))
 
     def test_location_entry_must_be_complete(self):
         with pytest.raises(ConfigError) as exc:
@@ -580,8 +614,9 @@ class TestErrorExits:
         [["analyze"], ["simulate", "--runs", "1"], ["lifetime", "--mode", "sim", "--runs", "1"]],
     )
     def test_loss_free_link_under_failure_literal_exits_2(self, tmp_path, capsys, argv):
-        # a link that never loses a frame leaves the literal failure-rate
-        # denominator at 0; the error names the distance and the SF
+        # the literal failure-rate reading, whose denominator a link that
+        # never loses a frame leaves at 0, is a test oracle now and not an
+        # option: a config that asks for it names the retired key
         cfg = _write(
             tmp_path,
             "lossfree.yaml",
@@ -599,9 +634,31 @@ class TestErrorExits:
         rc = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "failure_literal" in err
-        assert "at SF7 for the recipient at" in err and " m;" in err
-        assert not list(out.glob("*.csv"))
+        assert "config error" in err
+        assert "unknown config key 'analysis.eta_denominator'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, fragment",
+        [
+            ("interferers: {frame_rate_hz: 10000.0}", "interferers.frame_rate_hz"),
+            ("phy: {rx_power_w: 0.0}", "rx_power_w must be positive"),
+            ("phy: {rx_power_w: -0.1}", "rx_power_w must be positive"),
+            ("network: {control_listen_s: .nan}", "'network.control_listen_s' must be finite"),
+            ("sim: {runs: true}", "'sim.runs' must not be a bool"),
+        ],
+        ids=["window-above-one", "zero-rx-power", "negative-rx-power", "nan-leaf", "bool-leaf"],
+    )
+    def test_invalid_inputs_exit_2_before_any_output(self, tmp_path, capsys, override, fragment):
+        cfg = _write(
+            tmp_path, "bad.yaml", f"name: bad\nschemes:\n  - {{type: proposed}}\n{override}\n"
+        )
+        out = tmp_path / "out"
+        for argv in (["analyze"], ["simulate", "--runs", "1"]):
+            assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and fragment in err, err
+            assert not out.exists()
 
     def test_quadrature_breakdown_exits_3(self, tmp_path, capsys):
         cfg = _write(

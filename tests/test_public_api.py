@@ -20,8 +20,6 @@ KEPT = {
     "fec.RatelessModel.completion_pmf",
     "fec.RatelessModel.completion_tail",
     "fec.RatelessModel.conditional_failure",
-    # closed-form detection chance the interference-radius tests solve for
-    "channel.LinkModel.detection_probability",
     # traffic-impact table; the density-trend acceptance gate runs it
     "benchmarks.density_sweep",
     # per-recipient tuples the benchmark's tracer reads for its sim counters

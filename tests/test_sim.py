@@ -43,8 +43,7 @@ def _ideal(spec):
 
 
 def _tables(spec):
-    net = spec.network
-    return sim._SfTables(spec.phy, net.link, net.interferers, PAYLOAD, 1.0)
+    return sim._SfTables(spec.law)
 
 
 class TestCleanChannelExactness:
@@ -60,7 +59,7 @@ class TestCleanChannelExactness:
         )
         phy = spec.phy
         k = spec.firmware.fragments
-        slot = analysis.duty_slot_s(phy, 7, PAYLOAD, 1.0)
+        slot = 100.0 * phy.frame_airtime(7, PAYLOAD)
         control = analysis.control_energy_j(phy, 60.0, 12, 12)
         assert res.transmissions == k
         assert not res.incomplete.any()
@@ -179,11 +178,12 @@ class TestEnergyBookkeeping:
         )
         assert list(sent) == [budget] and list(left) == [0]
         sent, left = sim._serve_segment(
-            rng, state, tables, 9, 10_000, left, sent * tables.slot_s[0], 10_000
+            rng, state, tables, 9, 10_000, left, sent * spec.law.slot_s[0], 10_000
         )
         assert list(sent) == [need - budget] and left.size == 0
         assert state.full_listens[0] == need and state.preamble_listens[0] == 0
-        assert state.energy[0] == budget * tables.e_frame[0] + (need - budget) * tables.e_frame[2]
+        e_frame = spec.law.e_frame
+        assert state.energy[0] == budget * e_frame[0] + (need - budget) * e_frame[2]
 
     def test_received_never_exceeds_needed(self):
         spec = load_default_spec({"layout": {"recipients": 40}})
@@ -255,7 +255,7 @@ class TestGroupBasedSession:
         # the deaf SF7 group burns its whole cap, then the SF9 group is served
         assert not stalled.completed
         assert stalled.attempts_preamble_only == cap
-        slot7 = analysis.duty_slot_s(spec.phy, 7, PAYLOAD, 1.0)
+        slot7 = 100.0 * spec.phy.frame_airtime(7, PAYLOAD)
         for o in served:
             assert o.completed
             assert o.completion_time_s > cap * slot7
@@ -290,14 +290,9 @@ class TestAgainstClosedForms:
         spec = load_default_spec()
         scheme = ProposedScheme(7, 12, 300)
         needed = spec.firmware.code.expected_fragments()
-        tab = analysis.success_tables(
-            500.0, PAYLOAD, spec.phy, spec.network.link, spec.network.interferers,
-            options=spec.analysis,
-        )
+        tab = analysis.success_tables(500.0, spec.law, options=spec.analysis)
         [(_, segments)] = session_plan(scheme, sim.attempts_cap(spec, spec.firmware.code))
-        costs = analysis.stream_costs(
-            tab, spec.phy, spec.network.duty_cycle_max_percent, spec.analysis.energy_formula
-        )
+        costs = analysis.stream_costs(tab, spec.law)
         energy, time, _ = analysis.evaluate_stream(segments, costs, needed)
         rng_master = np.random.SeedSequence(2024).spawn(60)
         energies, times = [], []
@@ -428,11 +423,7 @@ class TestSamplerMatchesFrameOracle:
     def test_saturated_field_overlaps_almost_every_frame(self):
         spec = load_default_spec({"interferers": {"intensity_per_m2": DENSE}})
         tables = _tables(spec)
-        radius = sim.interference_radius(
-            spec.network.link, spec.network.interferers, spec.phy.sensitivity_w(12)
-        )
-        mean_count = sim.mean_interferer_count(spec.network.interferers, radius)
-        rate = tables.event_rate_per_interferer[12 - 7] * mean_count
+        rate = tables.event_rate_per_interferer[12 - 7] * spec.law.mean_count
         assert -math.expm1(-rate) == pytest.approx(0.99998, abs=1e-5)
 
     def test_empty_field_matches_oracle_and_negative_binomial(self, monkeypatch):
@@ -441,7 +432,7 @@ class TestSamplerMatchesFrameOracle:
         spec = load_default_spec({"interferers": {"intensity_per_m2": 0.0}})
         code = _ideal(spec)
         k = code.fragments
-        q = spec.network.link.detection_probability(spec.phy.sensitivity_w(9), 400.0)
+        q = math.exp(-spec.law.detect_scale[9 - 7] * 400.0**spec.law.path_loss_exponent)
         assert 0.3 < q < 0.9
         energies, listens = [], []
         for child in np.random.SeedSequence(3).spawn(30):
@@ -638,7 +629,6 @@ def _clean_state(needs, sessions):
         int_counts=np.zeros(n, dtype=np.int64),
         radius_m=1.0,
         path_loss_exponent=2.7,
-        detect_scale=np.zeros(6),
         key=0,
     )
     state.received[:] = state.thresholds - needs
@@ -652,7 +642,7 @@ def _interferer_state(radius_m=1200.0, alpha=2.7, key=12345, counts=(10**5,), **
     return sim._SessionState(
         sessions=1, session=np.zeros(n, dtype=np.int64), d_alpha=np.ones(n),
         thresholds=np.ones(n, dtype=np.int64), int_counts=np.asarray(counts),
-        radius_m=radius_m, path_loss_exponent=alpha, detect_scale=np.zeros(6), key=key,
+        radius_m=radius_m, path_loss_exponent=alpha, key=key,
         **zones,
     )
 
@@ -878,9 +868,9 @@ def _verdict_law(tables, row, d_alpha, u_alpha):
     level L, the overlaps of interferer k at SF j kill at the rate
     rho * pi_j * exp(-L * u_k / c_j), a share of them in the preamble."""
     rho = tables.event_rate_per_interferer[row]
-    mix, capture = tables.sf_mix[row], tables.capture[row]
+    mix, capture = tables.overlap_mix[row], tables.law.capture[row]
     pre = tables.preamble_share[row]
-    scale = tables.detect_scale[row]
+    scale = tables.law.detect_scale[row]
 
     def rates(e):
         level = scale + e / d_alpha
@@ -897,6 +887,55 @@ def _verdict_law(tables, row, d_alpha, u_alpha):
     p_pre = integrate.quad(killed_pre, 0.0, np.inf, epsabs=0.0, epsrel=1e-10)[0]
     p_after = integrate.quad(killed_after, 0.0, np.inf, epsabs=0.0, epsrel=1e-10)[0]
     return np.array([1.0 - p_pre - p_after, p_pre, p_after])
+
+
+class TestPinnedCountFrameLaw:
+    """The simulator's per-frame law against the closed forms' tables at a
+    pinned interferer count.
+
+    Every recipient gets exactly ``n`` interferers, the mean count rounded,
+    and a need it cannot reach within a 400-frame cap, so it listens to all
+    400 frames of one fixed-SF stream. Its reception, full-listen and
+    preamble-only rates are compared with ``success_tables(..., counts=[n])``:
+    frame success, preamble success and their complement. The z of each
+    check uses the spread of the rates across recipients, so it holds the
+    field's positions too. One threshold covers the 24 checks: at |z| < 4.5
+    each fails by chance with probability 6.8e-6, the family at most 1.6e-4.
+    """
+
+    FRAMES, RECIPIENTS, Z_MAX = 400, 4000, 4.5
+    # one near and one far distance per SF
+    DISTANCES = {7: (200.0, 400.0), 12: (300.0, 900.0)}
+
+    @pytest.mark.parametrize("density", [STOCK, DENSE], ids=["stock", "dense"])
+    @pytest.mark.parametrize("sf", sorted(DISTANCES))
+    def test_rates_match_the_tables(self, monkeypatch, density, sf):
+        spec = load_default_spec({"interferers": {"intensity_per_m2": density}})
+        n = round(spec.law.mean_count)
+
+        def pinned(rng, mean_count, near_share, size):
+            counts = np.full(size, n)
+            return counts, rng.binomial(counts, near_share)
+
+        monkeypatch.setattr(sim, "_draw_interferers", pinned)
+        monkeypatch.setattr(sim, "attempts_cap", lambda spec, code: self.FRAMES)
+        unreachable = dataclasses.replace(_ideal(spec), fragments=10 * self.FRAMES)
+        for i, d in enumerate(self.DISTANCES[sf]):
+            res = sim.run_session(
+                spec, FixedSfScheme(sf), np.random.default_rng([sf, i, int(density * 1e6)]),
+                distances=np.full(self.RECIPIENTS, d), code=unreachable,
+            )
+            assert res.transmissions == self.FRAMES and not res.completed.any()
+            tab = analysis.success_tables(d, spec.law, counts=[n])
+            pre, fr = tab.preamble_success[sf - 7][0], tab.frame_success[sf - 7][0]
+            for name, listened, want in (
+                ("reception", res.fragments_received, fr),
+                ("full listen", res.attempts_full, pre),
+                ("preamble only", res.attempts_preamble_only, 1.0 - pre),
+            ):
+                rate = listened / self.FRAMES
+                z = (rate.mean() - want) / (rate.std(ddof=1) / math.sqrt(rate.size))
+                assert abs(z) < self.Z_MAX, (d, name, rate.mean(), want, z)
 
 
 class TestThinnedVerdicts:
@@ -918,8 +957,7 @@ class TestThinnedVerdicts:
         state = sim._SessionState(
             sessions=1, session=np.zeros(2, dtype=np.int64), d_alpha=np.full(2, d_alpha),
             thresholds=np.ones(2, dtype=np.int64), int_counts=np.array([count, count]),
-            radius_m=tables.radius_m, path_loss_exponent=alpha,
-            detect_scale=tables.detect_scale, key=2024,
+            radius_m=spec.law.radius_m, path_loss_exponent=alpha, key=2024,
             near_counts=np.array([count if near_share > 0 else 0, near]), near_share=near_share,
         )
         u_alpha = state.interferer_u_alpha(
@@ -932,7 +970,7 @@ class TestThinnedVerdicts:
         far_law = sim._far_law(state, tables, row)
         weight = state.candidate_weight(active, far_law[1])
         p_dirty = -np.expm1(-tables.event_rate_per_interferer[row] * weight)
-        threshold = state.d_alpha[active] * tables.detect_scale[row]
+        threshold = state.d_alpha[active] * spec.law.detect_scale[row]
         ok, heard_lost = sim._dirty_frame_verdicts(
             np.random.default_rng(77), state, tables, row, active, threshold,
             weight, p_dirty, far_law, np.array([frames]),

@@ -19,6 +19,7 @@ from scipy import special, stats
 
 import fuotacast
 from fuotacast import analysis, specfun
+from fuotacast.channel import ChannelLaw
 
 PAYLOAD = 50
 
@@ -126,8 +127,9 @@ class TestLowerIncompleteGamma:
         monkeypatch.setattr(specfun, "gammainc_lower", record)
         link = dataclasses.replace(spec.network.link, path_loss_exponent=alpha)
         field = dataclasses.replace(spec.network.interferers, intensity_per_m2=density)
+        law = ChannelLaw.build(spec.phy, link, field, PAYLOAD, 1.0)
         for d in (100.0, 300.0, 500.0):
-            analysis.success_tables(d, PAYLOAD, spec.phy, link, field, options=spec.analysis)
+            analysis.success_tables(d, law, options=spec.analysis)
         assert len(calls) == 3  # one call per table
         for s, x in calls:
             np.testing.assert_allclose(
